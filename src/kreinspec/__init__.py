@@ -1,6 +1,6 @@
 """kreinspec: spectral-type classification in Krein spaces.
 
-Finite unions of real intervals with exact endpoint algebra, Gram/Riesz
+Finite unions of real intervals with exact endpoint algebra, Gram/Schur
 classification of spectral points of J-self-adjoint matrices, definite-type
 prediction for tensor (Kronecker) sums, closed-form and finite-difference
 models of a PT-symmetric Robin waveguide, and pseudospectral realness

@@ -19,7 +19,7 @@ class NumericalError(KreinspecError, RuntimeError):
 
 
 class ContourError(NumericalError):
-    """A contour integral could not isolate or resolve the requested cluster."""
+    """A cluster could not be isolated, or a contour integral not resolved."""
 
 
 class RootCertificationError(NumericalError):

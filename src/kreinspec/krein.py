@@ -4,8 +4,9 @@ A bounded symmetric involution J (J = J*, J^2 = I) turns the standard
 inner product into the indefinite product [f, g] = (Jf, g).  A matrix T
 with T = J T* J is J-self-adjoint; each of its eigenvalue clusters is
 classified as positive type, negative type, or not definite by the sign
-pattern of the indefinite Gram matrix on the root subspace, computed
-from a Riesz contour projection.
+pattern of the indefinite Gram matrix on the root subspace, read from one
+reordered complex Schur form per matrix (LAPACK ztrsen, whose estimates
+``s`` and ``sep`` certify it); Riesz projections are the independent check.
 
 Classification runs on the root subspace, not just the eigenspace, so a
 Jordan block at a real eigenvalue is reported as not definite even
@@ -21,6 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
 from .errors import ContourError, NumericalError, ValidationError
@@ -40,9 +42,6 @@ __all__ = [
     "theta_operator",
     "definiteness_constants",
 ]
-
-MAX_CONTOUR_NODES = 4096
-
 
 class SpectralType(str, Enum):
     POSITIVE = "positive"
@@ -114,13 +113,19 @@ def j_self_adjoint_defect(T, J) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SpectrumEntry:
-    """One classified eigenvalue cluster."""
+    """One classified eigenvalue cluster.
+
+    ``s`` and ``sep`` are the Schur reordering's condition estimates (of
+    the cluster's mean eigenvalue and of its root subspace), if measured.
+    """
 
     lam: complex
     alg_mult: int
     geo_mult: int
     type: SpectralType
     gram_eigs: np.ndarray
+    s: float | None = None
+    sep: float | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,79 +194,66 @@ def riesz_projection(T: np.ndarray, center: complex, radius: float,
     return P * (radius / nodes)
 
 
-def _adaptive_projection(T, center, radius, nodes, proj_tol, eigvals):
-    """Double the node count until P is idempotent with near-integer trace."""
-    nds = max(16, nodes)
-    last_err = None
-    while nds <= MAX_CONTOUR_NODES:
-        P = riesz_projection(T, center, radius, nodes=nds, eigvals=eigvals)
-        idem = _norm2(P @ P - P)
-        tr = np.trace(P)
-        trace_err = abs(tr - round(tr.real))
-        if idem <= proj_tol * max(1.0, _norm2(P)) and trace_err <= 1e-6:
-            return P, int(round(tr.real)), idem
-        last_err = (idem, trace_err)
-        nds *= 2
-    raise NumericalError(
-        f"contour quadrature under-resolved at {MAX_CONTOUR_NODES} nodes: "
-        f"||P^2-P|| = {last_err[0]:.3e}, trace defect = {last_err[1]:.3e}")
-
-
 # ---------------------------------------------------------------------------
-# Cluster classification
+# Cluster classification on a reordered Schur form
 # ---------------------------------------------------------------------------
 
 def _cluster_eigenvalues(eigvals: np.ndarray, gap: float) -> list[np.ndarray]:
-    """Partition eigenvalues into transitive proximity clusters (indices)."""
-    m = len(eigvals)
-    parent = list(range(m))
+    """Partition eigenvalues into transitive proximity clusters (indices).
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            if abs(eigvals[i] - eigvals[j]) <= gap:
-                pi, pj = find(i), find(j)
-                if pi != pj:
-                    parent[pi] = pj
-    groups: dict[int, list[int]] = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(i)
-    return [np.array(g) for g in groups.values()]
+    Links are distances <= ``gap``; groups are ordered by lowest index."""
+    e = np.asarray(eigvals)
+    if e.size == 0:
+        return []
+    close = scipy.sparse.csr_array(np.abs(e[:, None] - e[None, :]) <= gap)
+    _, labels = scipy.sparse.csgraph.connected_components(close, directed=False)
+    order = np.argsort(labels, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+    return sorted(groups, key=lambda g: g[0])
 
 
-def _classify_cluster(T, Jm, members, others, scale, tol, nodes):
+def _root_entry(R, Z, Jm, eigvals, idx, scale, tol):
+    """Classify the cluster ``eigvals[idx]`` of T = Z R Z*.
+
+    The Schur eigenvalues inside the circle that separates the cluster
+    from the rest of ``eigvals`` are moved to the top of R as a whole, so
+    the leading columns of the reordered Z are an orthonormal basis B of
+    the cluster's root subspace.  Returns the entry and B.
+    """
+    members = eigvals[idx]
+    others = np.delete(eigvals, idx)
     center = complex(np.mean(members))
     d_in = float(np.max(np.abs(members - center)))
     d_out = float(np.min(np.abs(others - center))) if len(others) else math.inf
-    if d_out - d_in <= max(1e-12 * scale, 4.0 * d_in * 1e-10):
+    # past d_in = 0.94 d_out the separating circle of radius (d_in + d_out)/2
+    # passes within 3 % of its radius of an eigenvalue
+    if (d_out - d_in <= max(1e-12 * scale, 4.0 * d_in * 1e-10)
+            or d_in > 0.94 * d_out):
         raise ContourError(
             f"cannot isolate cluster at {center:.6g}: extent {d_in:.3e} "
             f"vs nearest outside eigenvalue {d_out:.3e}")
-    if math.isinf(d_out):
-        radius = 2.0 * d_in + max(1.0, 0.1 * scale)
-    else:
-        radius = 0.5 * (d_in + d_out)
-        if max(radius / d_out, d_in / radius if radius > 0 else 1.0) > 0.97:
-            raise ContourError(
-                f"contour ratios too close to 1 for cluster at {center:.6g}")
 
-    all_eigs = np.concatenate([members, others]) if len(others) else members
-    P, alg_mult, _ = _adaptive_projection(T, center, radius,
-                                          nodes=nodes, proj_tol=1e-8,
-                                          eigvals=all_eigs)
-    if alg_mult != len(members):
+    n, m = R.shape[0], len(members)
+    select = np.abs(np.diag(R) - center) < 0.5 * (d_in + d_out)
+    if np.count_nonzero(select) != m:
         raise NumericalError(
-            f"projection rank {alg_mult} disagrees with cluster size {len(members)}")
-
-    U, s, _ = np.linalg.svd(P)
-    if s[alg_mult - 1] < 0.5 or (alg_mult < len(s) and s[alg_mult] > 0.5):
-        raise NumericalError("projection range extraction is ambiguous")
-    B = U[:, :alg_mult]
+            f"Schur form holds {np.count_nonzero(select)} eigenvalues of the "
+            f"{m}-fold cluster at {center:.6g}")
+    # the default lwork is too small for job="B", which needs 2 m (n - m)
+    R, Z, _, _, s, sep, info = scipy.linalg.lapack.ztrsen(
+        select, R, Z, job="B", lwork=max(1, n * n))
+    if info:
+        raise NumericalError(f"Schur reordering failed for the cluster at "
+                             f"{center:.6g} (info {info})")
+    # 1/s is the norm of the spectral projector, 1/sep how far the root
+    # subspace turns per unit perturbation of T: at the contour path's
+    # idempotency tolerance the subspace is not determined (a Jordan pair
+    # split in two by the gap lands here), so no verdict is given
+    if m < n and s * sep <= 1e-8 * max(1.0, scale):
+        raise NumericalError(
+            f"root subspace of the cluster at {center:.6g} is ill-conditioned: "
+            f"s = {s:.3e}, sep = {sep:.3e}")
+    B = Z[:, :m]
 
     G = B.conj().T @ Jm @ B
     G = 0.5 * (G + G.conj().T)
@@ -273,28 +265,47 @@ def _classify_cluster(T, Jm, members, others, scale, tol, nodes):
     else:
         t = SpectralType.NOT_DEFINITE
 
-    spread = 2.0 * d_in
-    geo_tol = max(tol * max(1.0, scale), 4.0 * spread)
-    sv = np.linalg.svd(T - center * np.eye(T.shape[0]), compute_uv=False)
-    geo_mult = int(np.count_nonzero(sv <= geo_tol))
-    geo_mult = min(max(geo_mult, 1), alg_mult)
+    # the leading block is T restricted to the root subspace
+    geo_tol = max(tol * max(1.0, scale), 8.0 * d_in)
+    sv = np.linalg.svd(R[:m, :m] - center * np.eye(m), compute_uv=False)
+    geo_mult = min(max(int(np.count_nonzero(sv <= geo_tol)), 1), m)
 
-    return SpectrumEntry(lam=center, alg_mult=alg_mult, geo_mult=geo_mult,
-                         type=t, gram_eigs=gram_eigs)
+    entry = SpectrumEntry(lam=center, alg_mult=m, geo_mult=geo_mult, type=t,
+                          gram_eigs=gram_eigs, s=float(s), sep=float(sep))
+    return entry, B
+
+
+def _position(entry: SpectrumEntry) -> tuple[float, float]:
+    """Sort key (Re, Im) of a cluster.  Rounding is monotone, so it never
+    inverts true order; it keeps noise below 1e-9 from flipping ties."""
+    return (round(entry.lam.real, 9), round(entry.lam.imag, 9))
 
 
 def classify_point(T, J, lam: complex, tol: float = 1e-8,
-                   cluster_gap: float | None = None, nodes: int = 32,
+                   cluster_gap: float | None = None,
                    eigvals: np.ndarray | None = None) -> SpectrumEntry:
     """Classify the eigenvalue cluster of T containing ``lam``.
 
-    The root subspace is extracted through an adaptive Riesz projection;
+    The root subspace is read from a reordered complex Schur form;
     eigenvalues closer than ``cluster_gap`` (default 1e-8 * max(1, ||T||))
     are treated as one cluster.  The spectral type is decided by the sign
     pattern of the indefinite Gram matrix B* J B of an orthonormal root
     basis B: all eigenvalues above +tol gives positive type, all below
     -tol negative type, anything else (including a Jordan structure or a
     genuinely mixed cluster) not definite.
+    """
+    return _classified_roots(T, J, tol=tol, cluster_gap=cluster_gap,
+                             eigvals=eigvals, query=lam)[0][0]
+
+
+def _classified_roots(T, J, tol: float = 1e-8,
+                      cluster_gap: float | None = None,
+                      points: Sequence[complex] | None = None,
+                      eigvals: np.ndarray | None = None,
+                      query: complex | None = None) -> list:
+    """(entry, root basis) pairs of ``classify_spectrum``, in its order.
+
+    A ``query`` point must lie on the spectrum, and selects its cluster.
     """
     T = np.asarray(T, dtype=complex)
     Jm = np.asarray(_as_matrix(J), dtype=complex)
@@ -303,60 +314,50 @@ def classify_point(T, J, lam: complex, tol: float = 1e-8,
     scale = _norm2(T)
     if cluster_gap is None:
         cluster_gap = 1e-8 * max(1.0, scale)
+    R, Z = scipy.linalg.schur(T, output="complex")
+
+    if query is not None:
+        # accept anything within the clustering resolution: a cluster mean
+        # of a numerically split multiple eigenvalue is a legitimate query.
+        # sigma_min(T - lambda I) <= min |R_ii - lambda|, so the SVD is only
+        # needed when the Schur diagonal is too far to decide
+        accept = max(tol * max(1.0, scale), cluster_gap)
+        if np.min(np.abs(np.diag(R) - query)) > accept:
+            smin = np.linalg.svd(T - query * np.eye(T.shape[0]), compute_uv=False)[-1]
+            if smin > accept:
+                raise ValidationError(
+                    f"{query} is not within tolerance of the spectrum: "
+                    f"sigma_min(T - lambda I) = {smin:.3e}")
+        points = [query]
+
+    # clusters come from np.linalg.eigvals, as they always have: the Schur
+    # diagonal splits a defective eigenvalue by another rounding amount and
+    # would change which Jordan pairs the default gap keeps whole
     if eigvals is None:
         eigvals = np.linalg.eigvals(T)
-
-    smin = np.linalg.svd(T - lam * np.eye(T.shape[0]), compute_uv=False)[-1]
-    # accept anything within the clustering resolution: a cluster mean of a
-    # numerically split multiple eigenvalue is a legitimate query point
-    if smin > max(tol * max(1.0, scale), cluster_gap):
-        raise ValidationError(
-            f"{lam} is not within tolerance of the spectrum: "
-            f"sigma_min(T - lambda I) = {smin:.3e}")
-
     clusters = _cluster_eigenvalues(eigvals, cluster_gap)
-    dists = [np.min(np.abs(eigvals[c] - lam)) for c in clusters]
-    idx = clusters[int(np.argmin(dists))]
-    members = eigvals[idx]
-    mask = np.ones(len(eigvals), dtype=bool)
-    mask[idx] = False
-    return _classify_cluster(T, Jm, members, eigvals[mask], scale, tol, nodes)
+    if points is not None:
+        wanted = {int(np.argmin([np.min(np.abs(eigvals[c] - p)) for c in clusters]))
+                  for p in points}
+        clusters = [clusters[i] for i in sorted(wanted)]
+
+    roots = [_root_entry(R, Z, Jm, eigvals, idx, scale, tol) for idx in clusters]
+    roots.sort(key=lambda root: _position(root[0]))
+    return roots
 
 
 def classify_spectrum(T, J, tol: float = 1e-8,
-                      cluster_gap: float | None = None, nodes: int = 32,
+                      cluster_gap: float | None = None,
                       points: Sequence[complex] | None = None,
                       eigvals: np.ndarray | None = None) -> ClassifiedSpectrum:
     """Classify every eigenvalue cluster of T (or just those near ``points``).
 
-    Entries are sorted by (Re, Im) of the cluster representative.
+    All clusters share one Schur form.  Entries are sorted by (Re, Im) of
+    the cluster representative.
     """
-    T = np.asarray(T, dtype=complex)
-    Jm = np.asarray(_as_matrix(J), dtype=complex)
-    scale = _norm2(T)
-    if cluster_gap is None:
-        cluster_gap = 1e-8 * max(1.0, scale)
-    if eigvals is None:
-        eigvals = np.linalg.eigvals(T)
-    clusters = _cluster_eigenvalues(eigvals, cluster_gap)
-
-    if points is not None:
-        wanted = []
-        for p in points:
-            dists = [np.min(np.abs(eigvals[c] - p)) for c in clusters]
-            wanted.append(int(np.argmin(dists)))
-        clusters = [clusters[i] for i in sorted(set(wanted))]
-
-    entries = []
-    for idx in clusters:
-        mask = np.ones(len(eigvals), dtype=bool)
-        mask[idx] = False
-        entries.append(_classify_cluster(T, Jm, eigvals[idx], eigvals[mask],
-                                         scale, tol, nodes))
-    # rounding is monotone, so this never inverts true order; it only keeps
-    # noise below 1e-9 from flipping nearly tied real parts
-    entries.sort(key=lambda e: (round(e.lam.real, 9), round(e.lam.imag, 9)))
-    return ClassifiedSpectrum(tuple(entries))
+    roots = _classified_roots(T, J, tol=tol, cluster_gap=cluster_gap,
+                              points=points, eigvals=eigvals)
+    return ClassifiedSpectrum(tuple(entry for entry, _ in roots))
 
 
 # ---------------------------------------------------------------------------

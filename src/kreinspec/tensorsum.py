@@ -26,9 +26,9 @@ import scipy.linalg
 
 from .errors import ContourError, NumericalError, ValidationError
 from .krein import (ClassifiedSpectrum, DefinitenessCertificate, Involution,
-                    SpectralType, SpectrumEntry, _cluster_eigenvalues, _norm2,
-                    classify_point, classify_spectrum, definiteness_constants,
-                    j_self_adjoint_defect, riesz_projection,
+                    SpectralType, SpectrumEntry, _classified_roots,
+                    _cluster_eigenvalues, _norm2, _position, _root_entry,
+                    definiteness_constants, j_self_adjoint_defect,
                     validate_involution)
 from .realsets import RealLineSet, minkowski_add_points
 
@@ -129,22 +129,17 @@ def _invariance_residual(T, B) -> float:
     return _norm2((np.eye(T.shape[0]) - pi) @ T @ pi)
 
 
-def _definite_bases(T, Jm, classification, nodes=32):
-    """Orthonormal bases of the positive and negative root subspaces."""
-    eigvals = np.array([e.lam for e in classification.entries for _ in range(e.alg_mult)])
-    cols_p, cols_m = [], []
+def _definite_bases(T, classification, roots):
+    """Orthonormal bases of the positive and negative root subspaces: each
+    definite entry takes the basis of the nearest of ``roots``."""
+    lams = np.array([e.lam for e, _ in roots], dtype=complex)
+    cols = {_P: [], _M: []}
     for e in classification.entries:
-        if e.type is SpectralType.NOT_DEFINITE:
-            continue
-        others = eigvals[np.abs(eigvals - e.lam) > 1e-12 * max(1.0, _norm2(T))]
-        d_out = np.min(np.abs(others - e.lam)) if len(others) else 1.0
-        P = riesz_projection(T, e.lam, 0.4 * float(d_out), nodes=max(nodes, 32))
-        B = np.linalg.svd(P)[0][:, :e.alg_mult]
-        (cols_p if e.type is SpectralType.POSITIVE else cols_m).append(B)
+        if e.type in cols:
+            cols[e.type].append(roots[int(np.argmin(np.abs(lams - e.lam)))][1])
     n = T.shape[0]
-    Bp = np.hstack(cols_p) if cols_p else np.zeros((n, 0), dtype=complex)
-    Bm = np.hstack(cols_m) if cols_m else np.zeros((n, 0), dtype=complex)
-    return Bp, Bm
+    return tuple(np.hstack(c) if c else np.zeros((n, 0), dtype=complex)
+                 for c in (cols[_P], cols[_M]))
 
 
 def make_factor_spec(T, J, classification: ClassifiedSpectrum | None = None,
@@ -155,8 +150,8 @@ def make_factor_spec(T, J, classification: ClassifiedSpectrum | None = None,
     """Validate and assemble a FactorSpec, filling missing pieces.
 
     Without an explicit classification the spectrum is classified here;
-    missing bases default to the definite root subspaces extracted by
-    contour projection.
+    missing bases default to the definite root subspaces, read from the
+    same reordered Schur form that classifies.
     """
     T = np.asarray(T, dtype=complex)
     invol = J if isinstance(J, Involution) else validate_involution(J)
@@ -165,10 +160,16 @@ def make_factor_spec(T, J, classification: ClassifiedSpectrum | None = None,
     if defect > tol * scale:
         raise ValidationError(
             f"factor is not J-self-adjoint: defect {defect:.3e} > {tol * scale:.1e}")
+    roots = None
     if classification is None:
-        classification = classify_spectrum(T, invol, tol=tol, cluster_gap=cluster_gap)
+        roots = _classified_roots(T, invol, tol=tol, cluster_gap=cluster_gap)
+        classification = ClassifiedSpectrum(tuple(e for e, _ in roots))
     if basis_plus is None or basis_minus is None:
-        Bp, Bm = _definite_bases(T, invol.matrix, classification)
+        if roots is None:
+            roots = _classified_roots(T, invol, tol=tol, cluster_gap=cluster_gap,
+                                      points=[e.lam for e in classification.entries
+                                              if e.type is not _0])
+        Bp, Bm = _definite_bases(T, classification, roots)
         basis_plus = Bp if basis_plus is None else basis_plus
         basis_minus = Bm if basis_minus is None else basis_minus
     basis_plus = np.asarray(basis_plus, dtype=complex).reshape(T.shape[0], -1)
@@ -409,34 +410,30 @@ def oracle_classify_and_compare(f1: FactorSpec, f2: FactorSpec,
                                 cluster_gap: float | None = None,
                                 separation_radius: float | None = None,
                                 coalesce_tol: float = 1e-7,
-                                nodes: int = 32,
                                 use_block_rules: bool | None = None,
                                 dim_cap: int = DIM_CAP) -> PredictionReport:
     """Classify the Kronecker sum directly and check every prediction.
 
     The default cluster gap is coarser than the classifier's (1e-6 times
     the norm) so that multiple eigenvalues split by Kronecker-level
-    rounding are folded back into one cluster.  Clusters the classifier
-    cannot certify are skipped and counted in ``oracle_failures``.
+    rounding are folded back into one cluster.  Every cluster is read
+    from one Schur form of the sum; clusters the classifier cannot
+    certify are skipped and counted in ``oracle_failures``.
     """
     S, J = kron_sum(f1, f2, dim_cap=dim_cap)
-    scale = max(1.0, _norm2(S))
+    norm = _norm2(S)
     if cluster_gap is None:
-        cluster_gap = 1e-6 * scale
+        cluster_gap = 1e-6 * max(1.0, norm)
 
-    eigvals = np.linalg.eigvals(S)
-    clusters = _cluster_eigenvalues(eigvals, cluster_gap)
+    R, Z = scipy.linalg.schur(S, output="complex")
+    eigvals = np.diag(R)
     entries, failures = [], 0
-    for idx in clusters:
-        rep = complex(np.mean(eigvals[idx]))
+    for idx in _cluster_eigenvalues(eigvals, cluster_gap):
         try:
-            entries.append(classify_point(S, J, rep, tol=tol,
-                                          cluster_gap=cluster_gap,
-                                          nodes=nodes, eigvals=eigvals))
+            entries.append(_root_entry(R, Z, J.matrix, eigvals, idx, norm, tol)[0])
         except (ContourError, NumericalError):
             failures += 1
-    entries.sort(key=lambda e: (round(e.lam.real, 9), round(e.lam.imag, 9)))
-    oracle = ClassifiedSpectrum(tuple(entries))
+    oracle = ClassifiedSpectrum(tuple(sorted(entries, key=_position)))
 
     predicted = predict_types(f1, f2, separation_radius=separation_radius,
                               coalesce_tol=coalesce_tol,
@@ -657,8 +654,7 @@ def random_jsa_factor(rng: np.random.Generator,
     entries = [SpectrumEntry(lam=complex(lam), alg_mult=a, geo_mult=g,
                              type=t, gram_eigs=np.array(ge))
                for lam, a, g, t, ge in truth]
-    entries.sort(key=lambda e: (round(e.lam.real, 9), round(e.lam.imag, 9)))
-    classification = ClassifiedSpectrum(tuple(entries))
+    classification = ClassifiedSpectrum(tuple(sorted(entries, key=_position)))
     certificate = definiteness_constants(Jm, Bp, Bm)
     spec = FactorSpec(t=T, j=invol, classification=classification,
                       basis_plus=Bp, basis_minus=Bm, certificate=certificate)
@@ -669,15 +665,12 @@ def random_jsa_factor(rng: np.random.Generator,
 
 
 def _sums_separated(f1: FactorSpec, f2: FactorSpec, gap: float) -> bool:
-    s = [complex(e1.lam) + complex(e2.lam)
-         for e1 in f1.classification.entries
-         for e2 in f2.classification.entries]
-    s = np.array(s)
-    for i in range(len(s)):
-        d = np.abs(s[i + 1:] - s[i])
-        if len(d) and d.min() < gap:
-            return False
-    return True
+    """No two pairwise eigenvalue sums lie closer than ``gap`` (strictly)."""
+    s = np.add.outer(f1.classification.all_points,
+                     f2.classification.all_points).ravel()
+    close = np.abs(s[:, None] - s[None, :]) < gap
+    np.fill_diagonal(close, False)
+    return not close.any()
 
 
 def _campaign_instance(rng: np.random.Generator, kind: str):

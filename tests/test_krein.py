@@ -22,10 +22,15 @@ from kreinspec import (
     classify_spectrum,
     definiteness_constants,
     j_self_adjoint_defect,
+    kron_sum,
     riesz_projection,
+    robin_fd,
     theta_operator,
+    transversal_modes,
     validate_involution,
 )
+from kreinspec.krein import _classified_roots, _cluster_eigenvalues, _norm2
+from kreinspec.tensorsum import _campaign_instance
 
 FLIP2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIG2 = np.diag([1.0, -1.0])
@@ -259,6 +264,16 @@ class TestClassifyPoint:
         assert classify_point(T, SIG2, scale).type is SpectralType.POSITIVE
         assert classify_point(T, SIG2, 2 * scale).type is SpectralType.NEGATIVE
 
+    def test_point_far_from_diagonal_accepted_by_sigma_min(self):
+        # non-normal Jordan block: 1.001 is 1e-3 from the Schur diagonal,
+        # far over the acceptance tolerance, but sigma_min(T - lam I) is
+        # about 1e-8, so the query point still belongs to the spectrum
+        T = np.array([[1.0, 100.0], [0.0, 1.0]])
+        assert j_self_adjoint_defect(T, FLIP2) < 1e-14
+        entry = classify_point(T, FLIP2, 1.001)
+        assert entry.type is SpectralType.NOT_DEFINITE
+        assert (entry.alg_mult, entry.geo_mult) == (2, 1)
+
 
 class TestClassifySpectrum:
     def build_six_dim(self):
@@ -304,6 +319,117 @@ class TestClassifySpectrum:
         assert result.points_of_type(SpectralType.POSITIVE) == pytest.approx([-2.0])
         assert len(result.points_of_type(SpectralType.NOT_DEFINITE)) == 3
         assert result.all_points.shape == (5,)
+
+
+def union_find_clusters(eigvals, gap):
+    """Reference: pairwise union-find over all pairs within ``gap``."""
+    m = len(eigvals)
+    parent = list(range(m))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(m):
+        for j in range(i + 1, m):
+            if abs(eigvals[i] - eigvals[j]) <= gap:
+                pi, pj = find(i), find(j)
+                if pi != pj:
+                    parent[pi] = pj
+    groups = {}
+    for i in range(m):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+class TestClusterEigenvalues:
+    def test_ties_at_gap_are_linked(self):
+        e = np.array([0.0, 2.0, 0.5, 0.5j, 1.5])
+        groups = _cluster_eigenvalues(e, 0.5)
+        assert [g.tolist() for g in groups] == [[0, 2, 3], [1, 4]]
+
+    def test_matches_union_find(self):
+        # points on a quarter lattice, so many pairs lie exactly gap apart
+        rng = np.random.default_rng(13)
+        for _ in range(60):
+            m = int(rng.integers(1, 40))
+            e = 0.25 * (rng.integers(-8, 9, m) + 1j * rng.integers(-2, 3, m))
+            for gap in (0.0, 0.25, 0.5):
+                got = [g.tolist() for g in _cluster_eigenvalues(e, gap)]
+                assert got == union_find_clusters(e, gap)
+
+    def test_empty(self):
+        assert _cluster_eigenvalues(np.array([], dtype=complex), 1.0) == []
+
+
+A_STRIP = math.pi / 2
+
+
+def riesz_reference(T, Jm, center, radius, eigvals, tol=1e-8):
+    """Slow exact path: contour projection, SVD range, Gram verdict."""
+    inside = eigvals[np.abs(eigvals - center) < radius]
+    P = riesz_projection(T, center, radius, nodes=64, eigvals=eigvals)
+    alg = int(round(np.trace(P).real))
+    assert alg == len(inside)
+    B = np.linalg.svd(P)[0][:, :alg]
+    G = B.conj().T @ Jm @ B
+    gram = np.linalg.eigvalsh(0.5 * (G + G.conj().T))
+    if np.all(gram > tol):
+        t = SpectralType.POSITIVE
+    elif np.all(gram < -tol):
+        t = SpectralType.NEGATIVE
+    else:
+        t = SpectralType.NOT_DEFINITE
+    mean = inside.mean()
+    geo_tol = max(tol * max(1.0, _norm2(T)),
+                  8.0 * np.max(np.abs(inside - mean)))
+    sv = np.linalg.svd(T - mean * np.eye(T.shape[0]), compute_uv=False)
+    geo = min(max(int(np.count_nonzero(sv <= geo_tol)), 1), alg)
+    return t, alg, geo, P
+
+
+class TestSchurAgainstRiesz:
+    """The Schur-reordered engine against contour projections, cluster by
+    cluster: same type and multiplicities, same root subspace.  Every
+    spectrum here is simple, so each contour circles one eigenvalue."""
+
+    def check(self, T, J, roots, eigvals):
+        T = np.asarray(T, dtype=complex)
+        Jm = np.asarray(getattr(J, "matrix", J), dtype=complex)
+        for entry, B in roots:
+            d_out = np.sort(np.abs(eigvals - entry.lam))[1]
+            t, alg, geo, P = riesz_reference(T, Jm, entry.lam, 0.5 * d_out,
+                                             eigvals)
+            assert (entry.type, entry.alg_mult, entry.geo_mult) == (t, alg, geo)
+            assert B.shape == (T.shape[0], alg)
+            assert np.linalg.norm(B.conj().T @ B - np.eye(alg), 2) < 1e-12
+            dist = np.linalg.norm(P - B @ (B.conj().T @ P), 2)
+            assert dist <= 1e-8 * np.linalg.norm(P, 2)
+            assert 0 < entry.s <= 1 + 1e-12 and entry.sep > 0
+
+    @pytest.mark.parametrize("seed, dim, stride", [(3, 60, 1), (4, 144, 6)])
+    def test_big_campaign_instances(self, seed, dim, stride):
+        # generator seeds whose big campaign draw has product dimension 60
+        # and 144; every 6th cluster of the 144 one keeps the test short
+        f1, f2 = _campaign_instance(np.random.default_rng(seed), "big")
+        S, J = kron_sum(f1, f2)
+        assert S.shape == (dim, dim)
+        roots = _classified_roots(S, J, cluster_gap=1e-6 * _norm2(S))
+        assert len(roots) == dim
+        self.check(S, J, roots[::stride], np.linalg.eigvals(S))
+
+    @pytest.mark.parametrize("alpha0", [0.5, 1.7, 3.3])
+    def test_robin_operator(self, alpha0):
+        T, J = robin_fd(A_STRIP, 1j * alpha0, 121)
+        eigvals = np.linalg.eigvals(T)
+        modes = transversal_modes(A_STRIP, alpha0, 8)
+        lams = [eigvals[np.argmin(np.abs(eigvals - m.lam))] for m in modes]
+        roots = _classified_roots(T, J, points=lams, eigvals=eigvals)
+        assert len(roots) == len(modes)
+        self.check(T, J, roots, eigvals)
+        assert [e.type for e, _ in roots] == [m.type for m in modes]
 
 
 class TestThetaOperator:

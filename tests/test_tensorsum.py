@@ -1,7 +1,7 @@
 """Tests for Kronecker-sum prediction and oracle comparison.
 
 Ground truth comes from instances constructed in canonical coordinates;
-the oracle route re-measures everything through contour classification of
+the oracle route re-measures everything through Gram classification of
 the assembled sum, so agreement is a genuine two-route check.
 """
 import math
@@ -15,6 +15,7 @@ from kreinspec import (
     SpectralType,
     SpectrumEntry,
     ClassifiedSpectrum,
+    NumericalError,
     ValidationError,
     classify_spectrum,
     definiteness_constants,
@@ -25,7 +26,10 @@ from kreinspec import (
 )
 from kreinspec.krein import DefinitenessCertificate, _norm2
 from kreinspec.tensorsum import (
+    _CAMPAIGN_CYCLE,
     FactorSpec,
+    _campaign_instance,
+    _sums_separated,
     TypeConstraint,
     build_phi,
     constraint_satisfied,
@@ -445,6 +449,42 @@ class TestGenerator:
         assert f.basis_minus.shape == (3, 1)
         assert f.certificate.kappa_plus == pytest.approx(1.0)
 
+    def test_split_jordan_pairs_get_no_wrong_verdict(self):
+        # at the default cluster gap each campaign jordan factor's Jordan
+        # pair splits by about 1e-7 into two ill-conditioned halves;
+        # re-deriving the factor must refuse or return the ground truth
+        rng = np.random.default_rng(20260815)
+        jordan = {}
+        for k in range(27):
+            kind = _CAMPAIGN_CYCLE[k % len(_CAMPAIGN_CYCLE)]
+            f1, _ = _campaign_instance(rng, kind)
+            if kind == "jordan":
+                jordan[k] = f1
+        assert sorted(jordan) == [2, 6, 12, 16, 22, 26]
+        for f in jordan.values():
+            try:
+                got = make_factor_spec(f.t, f.j).classification.entries
+            except NumericalError:
+                continue
+            want = f.classification.entries
+            assert [(e.type, e.alg_mult, e.geo_mult) for e in got] == \
+                [(e.type, e.alg_mult, e.geo_mult) for e in want]
+            assert [e.lam for e in got] == pytest.approx([e.lam for e in want],
+                                                         abs=1e-6)
+
+    def test_default_bases_for_given_classification(self):
+        # bases are filled in for the definite points only, so the Jordan
+        # pair is never classified; they span the generator's subspaces
+        rng = np.random.default_rng(8)
+        f = random_jsa_factor(rng, n_plus=2, n_minus=2, n_jordan=1,
+                              mixing_strength=0.8)
+        g = make_factor_spec(f.t, f.j, classification=f.classification)
+        for got, want in ((g.basis_plus, f.basis_plus),
+                          (g.basis_minus, f.basis_minus)):
+            assert got.shape == want.shape
+            Qg, Qw = np.linalg.qr(got)[0], np.linalg.qr(want)[0]
+            assert _norm2(Qg @ Qg.conj().T - Qw @ Qw.conj().T) < 1e-8
+
     def test_make_factor_spec_rejects_non_jsa(self):
         with pytest.raises(ValidationError, match="self-adjoint"):
             make_factor_spec(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
@@ -458,6 +498,30 @@ class TestCampaign:
                                       "pair": 2, "hermitian": 2, "big": 2}
         again = run_campaign(seed=7, n_instances=20)
         assert again.instances == result.instances
+
+    def test_sums_separated_matches_pairwise_loop(self):
+        # dyadic eigenvalues make sums exactly gap apart: that still counts
+        # as separated, only strictly closer sums do not
+        def loop(f1, f2, gap):
+            s = np.array([complex(a.lam) + complex(b.lam)
+                          for a in f1.classification.entries
+                          for b in f2.classification.entries])
+            return all(np.abs(s[i + 1:] - s[i]).min() >= gap
+                       for i in range(len(s) - 1))
+
+        rng = np.random.default_rng(31)
+        for _ in range(50):
+            f1, f2 = (FactorSpec(
+                t=None, j=None, basis_plus=None, basis_minus=None,
+                classification=spectrum(*[(0.25 * x, POS) for x in
+                                          rng.integers(-8, 9, rng.integers(1, 5))]))
+                for _ in range(2))
+            for gap in (0.25, 0.5):
+                assert _sums_separated(f1, f2, gap) == loop(f1, f2, gap)
+        f1 = diag_factor([(0.0, 1), (0.5, 1)])
+        f2 = diag_factor([(0.0, 1), (1.0, 1)])
+        assert _sums_separated(f1, f2, 0.5)
+        assert not _sums_separated(f1, f2, 0.5 + 1e-12)
 
     def test_constraint_satisfaction_table(self):
         assert constraint_satisfied(TypeConstraint.NOT_MINUS, POS)
