@@ -119,23 +119,28 @@ def _json_text(cfg: RunConfig, description: str, payload: dict) -> str:
 # Parameter validation helpers (the per-command schema)
 # ---------------------------------------------------------------------------
 
+def _finite(cfg: RunConfig, key: str, kind=float):
+    flag = "--" + key.replace("_", "-")
+    try:
+        v = kind(cfg.parameters[key])
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{flag} must be a number, got "
+                              f"{cfg.parameters[key]!r}") from None
+    if not math.isfinite(v):
+        raise ValidationError(f"{flag} must be finite")
+    return v
+
+
 def _positive(cfg: RunConfig, key: str) -> float:
-    v = float(cfg.parameters[key])
-    if not (v > 0 and math.isfinite(v)):
+    v = _finite(cfg, key)
+    if v <= 0:
         raise ValidationError(f"--{key.replace('_', '-')} must be positive, "
                               f"got {v}")
     return v
 
 
-def _finite(cfg: RunConfig, key: str) -> float:
-    v = float(cfg.parameters[key])
-    if not math.isfinite(v):
-        raise ValidationError(f"--{key.replace('_', '-')} must be finite")
-    return v
-
-
 def _count(cfg: RunConfig, key: str, minimum: int = 1) -> int:
-    v = int(cfg.parameters[key])
+    v = _finite(cfg, key, int)
     if v < minimum:
         raise ValidationError(f"--{key.replace('_', '-')} must be at least "
                               f"{minimum}, got {v}")
@@ -579,7 +584,15 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ValidationError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ValidationError("config must be a JSON object")
-        tolerances.update(doc.pop("tolerances", {}))
+        given = doc.pop("tolerances", {})
+        if not isinstance(given, dict):
+            raise ValidationError("config tolerances must be a JSON object")
+        for name, v in given.items():
+            if (name not in tolerances or type(v) not in (int, float)
+                    or not 0 < v < math.inf):
+                raise ValidationError(f"tolerance {name!r} = {v!r}: need one of "
+                                      f"{sorted(tolerances)}, positive and finite")
+        tolerances.update(given)
         output_dir = doc.pop("output_dir", output_dir)
         seed = int(doc.pop("seed", seed))
         unknown = set(doc) - set(params)

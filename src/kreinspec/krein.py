@@ -292,10 +292,31 @@ def classify_point(T, J, lam: complex, tol: float = 1e-8,
     pattern of the indefinite Gram matrix B* J B of an orthonormal root
     basis B: all eigenvalues above +tol gives positive type, all below
     -tol negative type, anything else (including a Jordan structure or a
-    genuinely mixed cluster) not definite.
+    genuinely mixed cluster) not definite.  Repeated queries on one matrix
+    share one factorization.
     """
     return _classified_roots(T, J, tol=tol, cluster_gap=cluster_gap,
                              eigvals=eigvals, query=lam)[0][0]
+
+
+# the last matrix factored: (T copy, ||T||_2, R, Z, eigvals or None)
+_factors: tuple | None = None
+
+
+def _factorization(T: np.ndarray, need_eigvals: bool) -> tuple:
+    """(||T||_2, R, Z, eigvals) of T = Z R Z*, read-only and reused while
+    equal matrices follow (compared by value: arrays are mutable)."""
+    global _factors
+    memo = _factors
+    if memo is None or not np.array_equal(memo[0], T):
+        memo = (T.copy(), _norm2(T), *scipy.linalg.schur(T, output="complex"), None)
+    if need_eigvals and memo[4] is None:
+        memo = (*memo[:4], np.linalg.eigvals(T))
+    for a in memo[2:]:
+        if a is not None:
+            a.setflags(write=False)
+    _factors = memo
+    return memo[1:]
 
 
 def _classified_roots(T, J, tol: float = 1e-8,
@@ -311,10 +332,9 @@ def _classified_roots(T, J, tol: float = 1e-8,
     Jm = np.asarray(_as_matrix(J), dtype=complex)
     if T.shape != Jm.shape or T.ndim != 2 or T.shape[0] != T.shape[1]:
         raise ValidationError(f"incompatible shapes T {T.shape}, J {Jm.shape}")
-    scale = _norm2(T)
+    scale, R, Z, all_eigvals = _factorization(T, eigvals is None)
     if cluster_gap is None:
         cluster_gap = 1e-8 * max(1.0, scale)
-    R, Z = scipy.linalg.schur(T, output="complex")
 
     if query is not None:
         # accept anything within the clustering resolution: a cluster mean
@@ -334,7 +354,7 @@ def _classified_roots(T, J, tol: float = 1e-8,
     # diagonal splits a defective eigenvalue by another rounding amount and
     # would change which Jordan pairs the default gap keeps whole
     if eigvals is None:
-        eigvals = np.linalg.eigvals(T)
+        eigvals = all_eigvals
     clusters = _cluster_eigenvalues(eigvals, cluster_gap)
     if points is not None:
         wanted = {int(np.argmin([np.min(np.abs(eigvals[c] - p)) for c in clusters]))

@@ -332,6 +332,22 @@ class TestExitCodes:
         assert run_cli(["msets", "--v0", "square-well", "--well-depth",
                         "-2.0"], tmp_path)[0] == 2
 
+    @pytest.mark.parametrize("command, doc", [
+        ("tensor-check", {"tolerances": {"gram": "abc"}}),
+        ("transversal", {"modes": "ten"}),
+        ("transversal", {"tolerances": {"grm": 1e-3}}),
+    ])
+    def test_malformed_config_values_exit_two(self, tmp_path, command, doc):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "kreinspec", command, "--config", str(cfg),
+             "--output-dir", str(tmp_path / "out")],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+
     def test_version_and_help_exit_zero(self, capsys):
         assert main(["--version"]) == 0
         assert "kreinspec" in capsys.readouterr().out

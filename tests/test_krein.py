@@ -29,7 +29,9 @@ from kreinspec import (
     transversal_modes,
     validate_involution,
 )
-from kreinspec.krein import _classified_roots, _cluster_eigenvalues, _norm2
+from kreinspec import krein
+from kreinspec.krein import (_classified_roots, _cluster_eigenvalues,
+                             _factorization, _norm2)
 from kreinspec.tensorsum import _campaign_instance
 
 FLIP2 = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -430,6 +432,81 @@ class TestSchurAgainstRiesz:
         assert len(roots) == len(modes)
         self.check(T, J, roots, eigvals)
         assert [e.type for e, _ in roots] == [m.type for m in modes]
+
+
+def same_entry(a, b):
+    """Bitwise equality of every numeric field of two SpectrumEntry."""
+    return (a.lam == b.lam and (a.alg_mult, a.geo_mult) == (b.alg_mult, b.geo_mult)
+            and a.type is b.type and np.array_equal(a.gram_eigs, b.gram_eigs)
+            and a.s == b.s and a.sep == b.sep)
+
+
+class TestFactorizationMemo:
+    """Repeated point queries on one matrix share one Schur form; every
+    answer must be the one a fresh factorization gives, bit for bit."""
+
+    def fresh(self, monkeypatch, T, J, lam, eigvals=None):
+        monkeypatch.setattr(krein, "_factors", None)
+        return _classified_roots(T, J, eigvals=eigvals, query=lam)[0][0]
+
+    def robin_points(self, alpha0):
+        T, J = robin_fd(A_STRIP, 1j * alpha0, 121)
+        eigvals = np.linalg.eigvals(T)
+        lams = [eigvals[np.argmin(np.abs(eigvals - m.lam))]
+                for m in transversal_modes(A_STRIP, alpha0, 20)]
+        return T, J, eigvals, lams
+
+    def test_repeated_queries_match_fresh_factorizations(self, monkeypatch):
+        T, J, eigvals, lams = self.robin_points(1.7)
+        assert len(lams) == 21
+        calls, schur = [], scipy.linalg.schur
+
+        def counted_schur(*args, **kwargs):
+            calls.append(args)
+            return schur(*args, **kwargs)
+
+        monkeypatch.setattr(krein, "_factors", None)
+        monkeypatch.setattr(scipy.linalg, "schur", counted_schur)
+        got = [classify_point(T, J, lam, eigvals=eigvals) for lam in lams]
+        assert len(calls) == 1
+        for lam, entry in zip(lams, got):
+            assert same_entry(entry, self.fresh(monkeypatch, T, J, lam, eigvals))
+        assert len(calls) == 1 + len(lams)
+
+    def test_in_place_mutation_is_seen(self, monkeypatch):
+        T, J, _, lams = self.robin_points(0.5)
+        T2, _, eigvals2, lams2 = self.robin_points(3.3)
+        classify_point(T, J, lams[0])
+        T[...] = T2
+        entry = classify_point(T, J, lams2[3])
+        assert abs(entry.lam - lams2[3]) < 1e-9 * abs(lams2[3])
+        assert same_entry(entry, self.fresh(monkeypatch, T2, J, lams2[3]))
+
+    def test_alternating_matrices(self, monkeypatch):
+        T1, J, _, lams1 = self.robin_points(0.5)
+        T2, _, _, lams2 = self.robin_points(3.3)
+        got = [(classify_point(T1, J, a), classify_point(T2, J, b))
+               for a, b in zip(lams1[:4], lams2[:4])]
+        for (e1, e2), a, b in zip(got, lams1, lams2):
+            assert same_entry(e1, self.fresh(monkeypatch, T1, J, a))
+            assert same_entry(e2, self.fresh(monkeypatch, T2, J, b))
+
+    def test_cached_factors_are_read_only(self):
+        T = robin_fd(A_STRIP, 1.7j, 41)[0].astype(complex)
+        _, R, Z, eigvals = _factorization(T, True)
+        assert np.allclose(Z @ R @ Z.conj().T, T, atol=1e-12 * _norm2(T))
+        for a in (R, Z, eigvals):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+    def test_without_eigvals_matches_given_eigvals(self, monkeypatch):
+        T, J, _, lams = self.robin_points(1.7)
+        for lam in lams[::5]:
+            monkeypatch.setattr(krein, "_factors", None)
+            plain = classify_point(T, J, lam)
+            assert same_entry(plain, classify_point(T, J, lam,
+                                                    eigvals=np.linalg.eigvals(T)))
 
 
 class TestThetaOperator:
