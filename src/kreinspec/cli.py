@@ -119,23 +119,21 @@ def _json_text(cfg: RunConfig, description: str, payload: dict) -> str:
 # Parameter validation helpers (the per-command schema)
 # ---------------------------------------------------------------------------
 
-def _finite(cfg: RunConfig, key: str, kind=float):
-    flag = "--" + key.replace("_", "-")
-    try:
-        v = kind(cfg.parameters[key])
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{flag} must be a number, got "
-                              f"{cfg.parameters[key]!r}") from None
-    if not math.isfinite(v):
-        raise ValidationError(f"{flag} must be finite")
+def _positive(cfg: RunConfig, key: str) -> float:
+    v = _finite(cfg, key)
+    if not v > 0:
+        raise ValidationError(f"--{key.replace('_', '-')} must be positive, "
+                              f"got {v}")
     return v
 
 
-def _positive(cfg: RunConfig, key: str) -> float:
-    v = _finite(cfg, key)
-    if v <= 0:
-        raise ValidationError(f"--{key.replace('_', '-')} must be positive, "
-                              f"got {v}")
+def _finite(cfg: RunConfig, key: str, kind=float):
+    try:
+        v = kind(cfg.parameters[key])
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"--{key.replace('_', '-')} must be a number") from None
+    if not math.isfinite(v):
+        raise ValidationError(f"--{key.replace('_', '-')} must be finite")
     return v
 
 
@@ -585,13 +583,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if not isinstance(doc, dict):
             raise ValidationError("config must be a JSON object")
         given = doc.pop("tolerances", {})
-        if not isinstance(given, dict):
-            raise ValidationError("config tolerances must be a JSON object")
-        for name, v in given.items():
-            if (name not in tolerances or type(v) not in (int, float)
-                    or not 0 < v < math.inf):
-                raise ValidationError(f"tolerance {name!r} = {v!r}: need one of "
-                                      f"{sorted(tolerances)}, positive and finite")
+        if not isinstance(given, dict) or not all(
+                k in tolerances and type(v) in (int, float) and 0 < v < math.inf
+                for k, v in given.items()):
+            raise ValidationError(f"tolerances must be positive numbers named {sorted(tolerances)}")
         tolerances.update(given)
         output_dir = doc.pop("output_dir", output_dir)
         seed = int(doc.pop("seed", seed))

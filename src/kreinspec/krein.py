@@ -286,37 +286,30 @@ def classify_point(T, J, lam: complex, tol: float = 1e-8,
                    eigvals: np.ndarray | None = None) -> SpectrumEntry:
     """Classify the eigenvalue cluster of T containing ``lam``.
 
-    The root subspace is read from a reordered complex Schur form;
-    eigenvalues closer than ``cluster_gap`` (default 1e-8 * max(1, ||T||))
-    are treated as one cluster.  The spectral type is decided by the sign
-    pattern of the indefinite Gram matrix B* J B of an orthonormal root
-    basis B: all eigenvalues above +tol gives positive type, all below
-    -tol negative type, anything else (including a Jordan structure or a
-    genuinely mixed cluster) not definite.  Repeated queries on one matrix
-    share one factorization.
+    The root subspace is read from a reordered complex Schur form; eigenvalues
+    closer than ``cluster_gap`` (default 1e-8 * max(1, ||T||)) are treated as
+    one cluster.  The spectral type is decided by the sign pattern of the
+    indefinite Gram matrix B* J B of an orthonormal root basis B: all
+    eigenvalues above +tol gives positive type, all below -tol negative type,
+    anything else (including a Jordan structure or a genuinely mixed cluster)
+    not definite.  Repeated queries on one matrix share one factorization.
     """
     return _classified_roots(T, J, tol=tol, cluster_gap=cluster_gap,
                              eigvals=eigvals, query=lam)[0][0]
 
 
-# the last matrix factored: (T copy, ||T||_2, R, Z, eigvals or None)
-_factors: tuple | None = None
+_factors: tuple | None = None  # (T copy, ||T||_2, R, Z) of the last matrix
 
 
-def _factorization(T: np.ndarray, need_eigvals: bool) -> tuple:
-    """(||T||_2, R, Z, eigvals) of T = Z R Z*, read-only and reused while
-    equal matrices follow (compared by value: arrays are mutable)."""
+def _factorization(T: np.ndarray) -> tuple:
+    """(||T||_2, R, Z) of T = Z R Z*, read-only; the last matrix's are held
+    and reused while equal matrices follow (compared by value, not id)."""
     global _factors
-    memo = _factors
-    if memo is None or not np.array_equal(memo[0], T):
-        memo = (T.copy(), _norm2(T), *scipy.linalg.schur(T, output="complex"), None)
-    if need_eigvals and memo[4] is None:
-        memo = (*memo[:4], np.linalg.eigvals(T))
-    for a in memo[2:]:
-        if a is not None:
-            a.setflags(write=False)
-    _factors = memo
-    return memo[1:]
+    if _factors is None or not np.array_equal(_factors[0], T):
+        R, Z = scipy.linalg.schur(T, output="complex")
+        R.flags.writeable = Z.flags.writeable = False
+        _factors = (T.copy(), _norm2(T), R, Z)
+    return _factors[1:]
 
 
 def _classified_roots(T, J, tol: float = 1e-8,
@@ -332,7 +325,7 @@ def _classified_roots(T, J, tol: float = 1e-8,
     Jm = np.asarray(_as_matrix(J), dtype=complex)
     if T.shape != Jm.shape or T.ndim != 2 or T.shape[0] != T.shape[1]:
         raise ValidationError(f"incompatible shapes T {T.shape}, J {Jm.shape}")
-    scale, R, Z, all_eigvals = _factorization(T, eigvals is None)
+    scale, R, Z = _factorization(T)
     if cluster_gap is None:
         cluster_gap = 1e-8 * max(1.0, scale)
 
@@ -354,7 +347,7 @@ def _classified_roots(T, J, tol: float = 1e-8,
     # diagonal splits a defective eigenvalue by another rounding amount and
     # would change which Jordan pairs the default gap keeps whole
     if eigvals is None:
-        eigvals = all_eigvals
+        eigvals = np.linalg.eigvals(T)
     clusters = _cluster_eigenvalues(eigvals, cluster_gap)
     if points is not None:
         wanted = {int(np.argmin([np.min(np.abs(eigvals[c] - p)) for c in clusters]))

@@ -27,9 +27,9 @@ import scipy.linalg
 from .errors import ContourError, NumericalError, ValidationError
 from .krein import (ClassifiedSpectrum, DefinitenessCertificate, Involution,
                     SpectralType, SpectrumEntry, _classified_roots,
-                    _cluster_eigenvalues, _norm2, _position, _root_entry,
-                    definiteness_constants, j_self_adjoint_defect,
-                    validate_involution)
+                    _cluster_eigenvalues, _factorization, _norm2, _position,
+                    _root_entry, definiteness_constants,
+                    j_self_adjoint_defect, validate_involution)
 from .realsets import RealLineSet, minkowski_add_points
 
 __all__ = [
@@ -421,11 +421,10 @@ def oracle_classify_and_compare(f1: FactorSpec, f2: FactorSpec,
     certify are skipped and counted in ``oracle_failures``.
     """
     S, J = kron_sum(f1, f2, dim_cap=dim_cap)
-    norm = _norm2(S)
+    norm, R, Z = _factorization(S)
     if cluster_gap is None:
         cluster_gap = 1e-6 * max(1.0, norm)
 
-    R, Z = scipy.linalg.schur(S, output="complex")
     eigvals = np.diag(R)
     entries, failures = [], 0
     for idx in _cluster_eigenvalues(eigvals, cluster_gap):

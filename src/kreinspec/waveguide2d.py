@@ -26,6 +26,7 @@ from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 from .errors import NumericalError, ValidationError
 from .krein import Involution, validate_involution
+from .transversal import robin_fd
 
 __all__ = [
     "XBoundary",
@@ -138,19 +139,10 @@ def assemble_waveguide(grid: GridSpec, alpha: Callable[[float], complex],
         raise ValidationError("V(x, y) must be bounded on the grid")
 
     Dx = _x_second_difference(grid)
-    # robin_fd's stencil on every x-column; the endpoint terms use its Python
-    # complex arithmetic (numpy's complex division rounds differently), and
-    # the zeros between columns are dropped when the diagonals become CSR
-    h = grid.hy
-    main = np.full((grid.nx, grid.ny), 2.0, dtype=complex) / h**2
-    main[:, 0] = [2.0 / h**2 + 2.0 * complex(al).conjugate() / h for al in alpha_samples]
-    main[:, -1] = [2.0 / h**2 + 2.0 * complex(al) / h for al in alpha_samples]
-    off = np.full((grid.nx, grid.ny), -1.0 / h**2, dtype=complex)
-    off[:, [0, -2]] = -math.sqrt(2.0) / h**2
-    off[:, -1] = 0.0
-    off = off.ravel()[:-1]
+    blocks = [robin_fd(grid.a, al, grid.ny, sparse=True)[0]
+              for al in alpha_samples]
     H = (scipy.sparse.kron(Dx, scipy.sparse.identity(grid.ny), format="csr")
-         + scipy.sparse.diags([off, main.ravel(), off], [-1, 0, 1], format="csr")
+         + scipy.sparse.block_diag(blocks, format="csr")
          + scipy.sparse.diags(V_samples.ravel()))
 
     flip = scipy.sparse.csr_matrix(

@@ -89,25 +89,6 @@ class TestAssembly:
         scale = abs(op.H).max()
         assert abs(op.H - Hfold.tocsr()).max() <= 1e-14 * scale
 
-    @pytest.mark.parametrize("boundary", list(XBoundary))
-    @pytest.mark.parametrize("alpha", [lambda x: 0.5 + 1.3j,
-                                       lambda x: 0.2 + 1j * (0.5 + math.cos(x))])
-    def test_matches_block_diagonal_construction(self, boundary, alpha):
-        # the transversal part built as one robin_fd block per x-column
-        g = GridSpec(a=A_HALF, Lx=5.0, nx=17, ny=11, x_boundary=boundary)
-        op = assemble_waveguide(g, alpha, lambda x, y: x * x + 1j * math.sin(y))
-        n = g.nx
-        Dx = (sp.diags([np.full(n - 1, -1.0), np.full(n, 2.0), np.full(n - 1, -1.0)],
-                       [-1, 0, 1], format="lil") / g.hx**2)
-        if boundary is XBoundary.PERIODIC:
-            Dx[0, n - 1] = Dx[n - 1, 0] = -1.0 / g.hx**2
-        blocks = [robin_fd(A_HALF, al, g.ny, sparse=True)[0] for al in op.alpha_samples]
-        H = (sp.kron(Dx.tocsr(), sp.identity(g.ny), format="csr")
-             + sp.block_diag(blocks, format="csr")
-             + sp.diags(op.V_samples.ravel())).tocsr()
-        for part in ("indptr", "indices", "data"):
-            np.testing.assert_array_equal(getattr(op.H, part), getattr(H, part))
-
     def test_pt_defect_exactly_zero_for_constant_coupling(self):
         op = free_operator()
         assert j_self_adjoint_defect(op.H, op.J) == 0.0
