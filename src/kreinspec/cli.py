@@ -128,8 +128,12 @@ def _positive(cfg: RunConfig, key: str) -> float:
 
 
 def _finite(cfg: RunConfig, key: str, kind=float):
+    return _number(cfg.parameters[key], key, kind)
+
+
+def _number(value, key: str, kind=float):
     try:
-        v = kind(cfg.parameters[key])
+        v = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"--{key.replace('_', '-')} must be a number") from None
     if not math.isfinite(v):
@@ -168,23 +172,23 @@ def _seed_regions(cfg: RunConfig) -> list:
     raw = cfg.parameters.get("seed_region") or [
         "0.7,1.3,-0.4,0.4", "1.7,2.3,-0.2,0.2"]
     regions = []
-    for item in raw:
-        parts = (item.split(",") if isinstance(item, str) else list(item))
-        if len(parts) != 4:
+    for item in raw if isinstance(raw, list) else [raw]:
+        parts = item.split(",") if isinstance(item, str) else item
+        if not isinstance(parts, (list, tuple)) or len(parts) != 4:
             raise ValidationError(
                 f"seed region needs re0,re1,im0,im1 - got {item!r}")
-        regions.append(tuple(float(p) for p in parts))
+        regions.append(tuple(_number(p, "seed_region") for p in parts))
     return regions
 
 
 def _alpha_function(cfg: RunConfig):
     alpha0 = _finite(cfg, "alpha0")
     beta0 = _finite(cfg, "beta0")
-    height = float(cfg.parameters.get("bump_height", 0.0))
+    height = _finite(cfg, "bump_height")
     if height == 0.0:
         return lambda x: beta0 + 1j * alpha0
     width = _positive(cfg, "bump_width")
-    center = float(cfg.parameters.get("bump_center", 0.0))
+    center = _finite(cfg, "bump_center")
     return lambda x: beta0 + 1j * (
         alpha0 + height * math.exp(-((x - center) / width) ** 2))
 
@@ -238,7 +242,8 @@ def cmd_msets(cfg: RunConfig) -> list:
     dec = waveguide_m_sets(_positive(cfg, "a"), _finite(cfg, "alpha0"),
                            _longitudinal(cfg),
                            window_max=_finite(cfg, "window_max"),
-                           n_modes=None if n_modes is None else int(n_modes))
+                           n_modes=None if n_modes is None
+                           else _count(cfg, "n_modes"))
     path = cfg.output_dir / cfg.parameters["out"]
     _atomic_write(path, _json_text(
         cfg, "typed decomposition of the waveguide spectral support",
@@ -323,8 +328,8 @@ def cmd_spectrum2d(cfg: RunConfig) -> list:
 
     lo, hi = cfg.parameters.get("window_lo"), cfg.parameters.get("window_hi")
     if lo is not None and hi is not None:
-        rep = realness_report(pairs, (float(lo), float(hi)),
-                              float(cfg.parameters["imag_tol"]))
+        window = (_finite(cfg, "window_lo"), _finite(cfg, "window_hi"))
+        rep = realness_report(pairs, window, _finite(cfg, "imag_tol"))
         rpath = cfg.output_dir / cfg.parameters["report_out"]
         _atomic_write(rpath, _json_text(
             cfg, "realness screen of windowed eigenvalues",
@@ -354,9 +359,8 @@ def cmd_pseudospectrum(cfg: RunConfig) -> list:
     lo, hi = cfg.parameters.get("fit_window_lo"), cfg.parameters.get("fit_window_hi")
     if lo is not None and hi is not None:
         fit = imag_bound_fit(
-            pmap, (float(lo), float(hi)),
-            im_band=(float(cfg.parameters["fit_band_lo"]),
-                     float(cfg.parameters["fit_band_hi"])))
+            pmap, (_finite(cfg, "fit_window_lo"), _finite(cfg, "fit_window_hi")),
+            im_band=(_finite(cfg, "fit_band_lo"), _finite(cfg, "fit_band_hi")))
         fpath = cfg.output_dir / cfg.parameters["fit_out"]
         _atomic_write(fpath, _json_text(
             cfg, "log-log fit of |Im lambda| against sigma_min",
@@ -589,7 +593,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ValidationError(f"tolerances must be positive numbers named {sorted(tolerances)}")
         tolerances.update(given)
         output_dir = doc.pop("output_dir", output_dir)
-        seed = int(doc.pop("seed", seed))
+        seed = _number(doc.pop("seed", seed), "seed", int)
         unknown = set(doc) - set(params)
         if unknown:
             raise ValidationError(

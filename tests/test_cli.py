@@ -336,6 +336,11 @@ class TestExitCodes:
         ("tensor-check", {"tolerances": {"gram": "abc"}}),
         ("transversal", {"modes": "ten"}),
         ("transversal", {"tolerances": {"grm": 1e-3}}),
+        ("spectrum2d", {"seed": "x"}),
+        ("spectrum2d", {"bump_height": "tall"}),
+        ("spectrum2d", {"imag_tol": "x", "window_lo": 0, "window_hi": 0.9}),
+        ("msets", {"n_modes": "x"}),
+        ("branches", {"seed_region": [[0.7, "x", -0.4, 0.4]]}),
     ])
     def test_malformed_config_values_exit_two(self, tmp_path, command, doc):
         cfg = tmp_path / "run.json"

@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg
 
-from kreinspec import NumericalError, ValidationError
+from kreinspec import NumericalError, ValidationError, waveguide2d
 from kreinspec.krein import j_self_adjoint_defect, validate_involution
-from kreinspec.transversal import robin_fd
+from kreinspec.transversal import robin_fd, secular_roots
 from kreinspec.waveguide2d import (
     GridSpec,
     ImagBoundFit,
@@ -190,6 +191,62 @@ class TestEigsNear:
         op = free_operator(nx=8, ny=8)
         with pytest.raises(ValidationError):
             eigs_near(op, 0.25, 0)
+
+
+def no_shift_invert(*args, **kwargs):
+    raise AssertionError("the separable fast path fell back to shift-invert")
+
+
+class TestKroneckerFastPath:
+    """Separable Dirichlet strips, cross-checked against shift-invert."""
+
+    @staticmethod
+    def criterion_11_case():
+        roots = secular_roots(A_HALF, 1.0, -0.05, (0.7, 1.3, -0.4, 0.4))
+        k1sq = [r ** 2 for r in roots if r.imag > 0][0]
+        g = GridSpec(a=A_HALF, Lx=40.0, nx=640, ny=48)
+        return assemble_waveguide(g, lambda x: complex(-0.05, 1.0),
+                                  lambda x, y: 0.0), k1sq, 6
+
+    @staticmethod
+    def y_potential_case():
+        # PT-symmetric: V(x, y) = conj(V(x, -y)), no x dependence
+        g = GridSpec(a=A_HALF, Lx=10.0, nx=80, ny=16)
+        return assemble_waveguide(
+            g, lambda x: 0.5j, lambda x, y: 0.3 * y * y + 0.2j * y,
+        ), 1.1 + 0.05j, 5
+
+    @pytest.mark.parametrize("case", ["criterion_11_case", "y_potential_case"])
+    def test_fast_pairs_match_shift_invert(self, case, monkeypatch):
+        op, target, k = getattr(self, case)()
+        assert waveguide2d._kronecker_factors(op) is not None
+        with monkeypatch.context() as m:
+            m.setattr(scipy.sparse.linalg, "eigs", no_shift_invert)
+            fast = eigs_near(op, target, k)
+        monkeypatch.setattr(waveguide2d, "_kronecker_factors", lambda op: None)
+        slow = eigs_near(op, target, k)
+        assert len(fast) == len(slow) == k
+        scale = abs(op.H).max()
+        for (lf, rf), (ls, rs) in zip(fast, slow):
+            assert abs(lf - ls) <= 1e-10 * scale
+            assert rf <= 1e-8 and rs <= 1e-8
+
+    def test_refuses_non_separable_operators(self):
+        g = GridSpec(a=A_HALF, Lx=10.0, nx=40, ny=16)
+        bump = assemble_waveguide(
+            g, lambda x: 1j * (0.5 + 0.05 * math.exp(-x * x)),
+            lambda x, y: 0.0)
+        x_potential = assemble_waveguide(g, lambda x: 0.5j,
+                                         lambda x, y: 0.1 * x * x)
+        periodic = free_operator(nx=40, ny=16)
+        zero = assemble_waveguide(g, lambda x: 0.0, lambda x, y: 0.0)
+        hand_built = WaveguideOperator(
+            grid=g, H=sp.identity(g.nx * g.ny, format="csr"), J=zero.J,
+            alpha_samples=np.zeros(g.nx, dtype=complex),
+            V_samples=np.zeros((g.nx, g.ny), dtype=complex))
+        assert waveguide2d._kronecker_factors(zero) is not None
+        for op in (bump, x_potential, periodic, hand_built):
+            assert waveguide2d._kronecker_factors(op) is None
 
 
 class TestPseudospectrum:
