@@ -18,7 +18,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -75,7 +75,7 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, text: str) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent),
                                prefix=path.name + ".", suffix=".tmp")
@@ -87,6 +87,7 @@ def _atomic_write(path: Path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    return path
 
 
 def _csv_text(cfg: RunConfig, description: str, columns: list,
@@ -116,102 +117,125 @@ def _json_text(cfg: RunConfig, description: str, payload: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Parameter validation helpers (the per-command schema)
+# Parameter checks: check(value, flag) returns the checked value or raises
+# ValidationError naming the flag; check.argparse holds the flag's keywords
 # ---------------------------------------------------------------------------
 
-def _positive(cfg: RunConfig, key: str) -> float:
-    v = _finite(cfg, key)
-    if not v > 0:
-        raise ValidationError(f"--{key.replace('_', '-')} must be positive, "
-                              f"got {v}")
-    return v
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
-def _finite(cfg: RunConfig, key: str, kind=float):
-    return _number(cfg.parameters[key], key, kind)
+def _num(kind=float, minimum=-math.inf, positive=False, optional=False):
+    """A finite number, not a bool, integral when ``kind`` is int, at least
+    ``minimum`` and, if ``positive``, above zero; None too if ``optional``."""
+    def check(value, flag: str):
+        if value is None and optional:
+            return None
+        v = value
+        if not (kind is int and type(v) is int):
+            try:
+                v = math.nan if isinstance(v, bool) else float(v)
+            except (TypeError, ValueError, OverflowError):
+                v = math.nan
+            if not math.isfinite(v) or kind is int and not v.is_integer():
+                what = "an integer" if kind is int else "a finite number"
+                raise ValidationError(f"{flag} must be {what}, got {value!r}")
+            v = kind(v)
+        if v < minimum or positive and v <= 0:
+            bound = "positive" if positive else f"at least {minimum}"
+            raise ValidationError(f"{flag} must be {bound}, got {v}")
+        return v
+    check.argparse = {"type": kind}
+    return check
 
 
-def _number(value, key: str, kind=float):
-    try:
-        v = kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"--{key.replace('_', '-')} must be a number") from None
-    if not math.isfinite(v):
-        raise ValidationError(f"--{key.replace('_', '-')} must be finite")
-    return v
+_real = _num()
+_positive_real = _num(positive=True)
 
 
-def _count(cfg: RunConfig, key: str, minimum: int = 1) -> int:
-    v = _finite(cfg, key, int)
-    if v < minimum:
-        raise ValidationError(f"--{key.replace('_', '-')} must be at least "
-                              f"{minimum}, got {v}")
-    return v
+def _choice(*options: str, required: bool = False):
+    def check(value, flag: str) -> str:
+        if value not in options:
+            raise ValidationError(
+                f"{flag} must be one of {', '.join(options)}, got {value!r}")
+        return value
+    check.argparse = {"choices": options, "required": required}
+    return check
 
 
-def _rect(cfg: RunConfig) -> tuple:
-    r = tuple(_finite(cfg, k) for k in ("re_min", "re_max", "im_min", "im_max"))
+def _path(value, flag: str) -> str:
+    if not isinstance(value, str) or not value or "\0" in value:
+        raise ValidationError(f"{flag} must be a path name, got {value!r}")
+    return value
+
+
+_path.argparse = {"type": str}
+
+
+def _regions(value, flag: str) -> list:
+    """Rectangles re0,re1,im0,im1, each a string or a list of four numbers;
+    None or an empty list gives the two default seed regions."""
+    if value in (None, []):
+        value = ["0.7,1.3,-0.4,0.4", "1.7,2.3,-0.2,0.2"]
+    regions = []
+    for item in value if isinstance(value, list) else [value]:
+        parts = item.split(",") if isinstance(item, str) else item
+        if not isinstance(parts, list) or len(parts) != 4:
+            raise ValidationError(
+                f"{flag} needs re0,re1,im0,im1 - got {item!r}")
+        regions.append(tuple(_real(x, flag) for x in parts))
+    return regions
+
+
+_regions.argparse = {"action": "append"}
+
+
+def _rect_rows(*corners: float) -> dict:
+    return {key: (c, _real) for key, c in
+            zip(("re_min", "re_max", "im_min", "im_max"), corners)}
+
+
+def _rect(p: dict) -> tuple:
+    r = (p["re_min"], p["re_max"], p["im_min"], p["im_max"])
     if r[0] >= r[1] or r[2] > r[3]:
         raise ValidationError(f"degenerate rectangle {r}")
     return r
 
 
-def _longitudinal(cfg: RunConfig):
-    kind = cfg.parameters["v0"]
-    if kind == "zero":
-        return longitudinal_spectrum(Zero())
-    if kind == "constant":
-        return longitudinal_spectrum(Constant(_finite(cfg, "v0_value")))
-    if kind == "square-well":
-        return longitudinal_spectrum(
-            SquareWell(_positive(cfg, "well_depth"), _positive(cfg, "well_width")))
-    raise ValidationError(f"unknown longitudinal potential {kind!r}")
+def _window(p: dict, lo: str, hi: str):
+    """The (lo, hi) pair of two optional rows, or None when both are unset."""
+    if (p[lo] is None) != (p[hi] is None):
+        raise ValidationError(f"{_flag(lo)} and {_flag(hi)} must be given "
+                              "together")
+    return None if p[lo] is None else (p[lo], p[hi])
 
 
-def _seed_regions(cfg: RunConfig) -> list:
-    raw = cfg.parameters.get("seed_region") or [
-        "0.7,1.3,-0.4,0.4", "1.7,2.3,-0.2,0.2"]
-    regions = []
-    for item in raw if isinstance(raw, list) else [raw]:
-        parts = item.split(",") if isinstance(item, str) else item
-        if not isinstance(parts, (list, tuple)) or len(parts) != 4:
-            raise ValidationError(
-                f"seed region needs re0,re1,im0,im1 - got {item!r}")
-        regions.append(tuple(_number(p, "seed_region") for p in parts))
-    return regions
+# ---------------------------------------------------------------------------
+# Command handlers: each takes the run config and the checked values
+# ---------------------------------------------------------------------------
+
+def _longitudinal(p: dict):
+    return longitudinal_spectrum({
+        "zero": Zero(), "constant": Constant(p["v0_value"]),
+        "square-well": SquareWell(p["well_depth"], p["well_width"])}[p["v0"]])
 
 
-def _alpha_function(cfg: RunConfig):
-    alpha0 = _finite(cfg, "alpha0")
-    beta0 = _finite(cfg, "beta0")
-    height = _finite(cfg, "bump_height")
+def _alpha_function(p: dict):
+    alpha0, beta0, height = p["alpha0"], p["beta0"], p["bump_height"]
+    width, center = p["bump_width"], p["bump_center"]
     if height == 0.0:
         return lambda x: beta0 + 1j * alpha0
-    width = _positive(cfg, "bump_width")
-    center = _finite(cfg, "bump_center")
     return lambda x: beta0 + 1j * (
         alpha0 + height * math.exp(-((x - center) / width) ** 2))
 
 
-def _v_function(cfg: RunConfig):
-    kind = cfg.parameters.get("v0", "zero")
-    if kind == "zero":
-        return lambda x, y: 0.0
-    if kind == "constant":
-        c = _finite(cfg, "v0_value")
-        return lambda x, y: c
-    raise ValidationError(f"2D runs support v0 zero|constant, got {kind!r}")
+def _strip(p: dict):
+    """The strip operator of the 2D grid rows."""
+    v0 = p["v0_value"] if p["v0"] == "constant" else 0.0
+    grid = GridSpec(a=p["a"], Lx=p["lx"], nx=p["nx"], ny=p["ny"],
+                    x_boundary=XBoundary(p["x_boundary"]))
+    return assemble_waveguide(grid, _alpha_function(p), lambda x, y: v0)
 
-
-def _grid(cfg: RunConfig) -> GridSpec:
-    return GridSpec(a=_positive(cfg, "a"), Lx=_positive(cfg, "lx"),
-                    nx=_count(cfg, "nx", 8), ny=_count(cfg, "ny", 8),
-                    x_boundary=XBoundary(cfg.parameters["x_boundary"]))
-
-
-# ---------------------------------------------------------------------------
-# Command handlers
-# ---------------------------------------------------------------------------
 
 def _mode_table(a: float, alpha0: float, n_rows: int) -> list:
     exc = exceptional_set(a, alpha0)
@@ -224,79 +248,55 @@ def _mode_table(a: float, alpha0: float, n_rows: int) -> list:
     return transversal_modes(a, alpha0, n_lattice)[:cut]
 
 
-def cmd_transversal(cfg: RunConfig) -> list:
-    a = _positive(cfg, "a")
-    alpha0 = _finite(cfg, "alpha0")
-    modes = _mode_table(a, alpha0, _count(cfg, "modes"))
+def cmd_transversal(cfg: RunConfig, p: dict) -> list:
+    modes = _mode_table(p["a"], p["alpha0"], p["modes"])
     rows = [[str(m.mu_index), _fmt(m.lam), _fmt(m.indicator), m.type.value]
             for m in modes]
-    path = cfg.output_dir / cfg.parameters["out"]
-    _atomic_write(path, _csv_text(
+    return [_atomic_write(cfg.output_dir / p["out"], _csv_text(
         cfg, "transversal Robin eigenvalues, parity indicators and types "
-             "in sorted order", ["n", "lambda", "indicator", "type"], rows))
-    return [path]
+             "in sorted order", ["n", "lambda", "indicator", "type"], rows))]
 
 
-def cmd_msets(cfg: RunConfig) -> list:
-    n_modes = cfg.parameters.get("n_modes")
-    dec = waveguide_m_sets(_positive(cfg, "a"), _finite(cfg, "alpha0"),
-                           _longitudinal(cfg),
-                           window_max=_finite(cfg, "window_max"),
-                           n_modes=None if n_modes is None
-                           else _count(cfg, "n_modes"))
-    path = cfg.output_dir / cfg.parameters["out"]
-    _atomic_write(path, _json_text(
+def cmd_msets(cfg: RunConfig, p: dict) -> list:
+    dec = waveguide_m_sets(p["a"], p["alpha0"], _longitudinal(p),
+                           window_max=p["window_max"], n_modes=p["n_modes"])
+    return [_atomic_write(cfg.output_dir / p["out"], _json_text(
         cfg, "typed decomposition of the waveguide spectral support",
-        dec.to_json_obj()))
-    return [path]
+        dec.to_json_obj()))]
 
 
-def cmd_secular(cfg: RunConfig) -> list:
-    a = _positive(cfg, "a")
-    alpha0 = _finite(cfg, "alpha0")
-    beta0 = _finite(cfg, "beta0")
-    tol = _positive(cfg, "tol")
-    region = _rect(cfg)
-    roots = secular_roots(a, alpha0, beta0, region, tol=tol)
+def cmd_secular(cfg: RunConfig, p: dict) -> list:
+    a, alpha0, beta0 = p["a"], p["alpha0"], p["beta0"]
+    roots = secular_roots(a, alpha0, beta0, _rect(p), tol=p["tol"])
     rows = [[_fmt(r.real), _fmt(r.imag),
              _fmt(abs(secular_value(r, a, alpha0, beta0)))] for r in roots]
-    path = cfg.output_dir / cfg.parameters["out"]
-    _atomic_write(path, _csv_text(
+    return [_atomic_write(cfg.output_dir / p["out"], _csv_text(
         cfg, "certified secular-equation roots in a rectangle",
         ["re_k", "im_k", "residual"], rows,
-        extra_comments=[f"winding: {len(roots)}"]))
-    return [path]
+        extra_comments=[f"winding: {len(roots)}"]))]
 
 
-def cmd_branches(cfg: RunConfig) -> list:
-    a = _positive(cfg, "a")
-    alpha0 = _finite(cfg, "alpha0")
-    b_lo = _finite(cfg, "beta0_min")
-    b_hi = _finite(cfg, "beta0_max")
-    n = _count(cfg, "samples", 2)
-    samples = np.linspace(b_lo, b_hi, n)
+def cmd_branches(cfg: RunConfig, p: dict) -> list:
+    a, alpha0 = p["a"], p["alpha0"]
+    samples = np.linspace(p["beta0_min"], p["beta0_max"], p["samples"])
     seeds = []
-    for region in _seed_regions(cfg):
-        seeds.extend(secular_roots(a, alpha0, b_lo, region,
-                                   tol=_positive(cfg, "tol")))
-    tables = branch_curves(a, alpha0, samples, seeds,
-                           tol=_positive(cfg, "tol"))
-    prefix = cfg.parameters["out_prefix"]
+    for region in p["seed_region"]:
+        seeds.extend(secular_roots(a, alpha0, p["beta0_min"], region,
+                                   tol=p["tol"]))
+    tables = branch_curves(a, alpha0, samples, seeds, tol=p["tol"])
     paths = []
     for i, table in enumerate(tables, start=1):
-        rows = [[_fmt(p.beta0), _fmt(p.k.real), _fmt(p.k.imag)] for p in table]
-        path = cfg.output_dir / f"{prefix}{i}.csv"
-        _atomic_write(path, _csv_text(
-            cfg, f"secular root branch {i} tracked along the real coupling "
-                 "offset", ["beta0", "re_k", "im_k"], rows))
-        paths.append(path)
+        rows = [[_fmt(q.beta0), _fmt(q.k.real), _fmt(q.k.imag)] for q in table]
+        paths.append(_atomic_write(
+            cfg.output_dir / f"{p['out_prefix']}{i}.csv", _csv_text(
+                cfg, f"secular root branch {i} tracked along the real "
+                     "coupling offset", ["beta0", "re_k", "im_k"], rows)))
     return paths
 
 
-def cmd_tensor_check(cfg: RunConfig) -> list:
-    result = run_campaign(cfg.seed, _count(cfg, "instances"),
-                          tol=cfg.tolerances["gram"],
-                          dim_cap=_count(cfg, "dim_cap"))
+def cmd_tensor_check(cfg: RunConfig, p: dict) -> list:
+    result = run_campaign(cfg.seed, p["instances"],
+                          tol=cfg.tolerances["gram"], dim_cap=p["dim_cap"])
     payload = {
         "schema": "kreinspec/tensor-check-v1",
         "seed": cfg.seed,
@@ -308,41 +308,32 @@ def cmd_tensor_check(cfg: RunConfig) -> list:
         "ok": result.total_violations == 0,
         "instances": result.instances,
     }
-    path = cfg.output_dir / cfg.parameters["out"]
-    _atomic_write(path, _json_text(
-        cfg, "randomized Kronecker-sum type-prediction campaign", payload))
-    return [path]
+    return [_atomic_write(cfg.output_dir / p["out"], _json_text(
+        cfg, "randomized Kronecker-sum type-prediction campaign", payload))]
 
 
-def cmd_spectrum2d(cfg: RunConfig) -> list:
-    op = assemble_waveguide(_grid(cfg), _alpha_function(cfg), _v_function(cfg))
-    target = complex(_finite(cfg, "target_re"), _finite(cfg, "target_im"))
-    pairs = eigs_near(op, target, _count(cfg, "count"),
-                      tol=cfg.tolerances["residual"])
+def cmd_spectrum2d(cfg: RunConfig, p: dict) -> list:
+    window = _window(p, "window_lo", "window_hi")
+    pairs = eigs_near(_strip(p), complex(p["target_re"], p["target_im"]),
+                      p["count"], tol=cfg.tolerances["residual"])
     rows = [[_fmt(lam.real), _fmt(lam.imag), _fmt(res)] for lam, res in pairs]
-    path = cfg.output_dir / cfg.parameters["out"]
-    _atomic_write(path, _csv_text(
+    paths = [_atomic_write(cfg.output_dir / p["out"], _csv_text(
         cfg, "strip-operator eigenvalues nearest the target",
-        ["re_lambda", "im_lambda", "residual"], rows))
-    paths = [path]
-
-    lo, hi = cfg.parameters.get("window_lo"), cfg.parameters.get("window_hi")
-    if lo is not None and hi is not None:
-        window = (_finite(cfg, "window_lo"), _finite(cfg, "window_hi"))
-        rep = realness_report(pairs, window, _finite(cfg, "imag_tol"))
-        rpath = cfg.output_dir / cfg.parameters["report_out"]
-        _atomic_write(rpath, _json_text(
-            cfg, "realness screen of windowed eigenvalues",
-            rep.to_json_obj()))
-        paths.append(rpath)
+        ["re_lambda", "im_lambda", "residual"], rows))]
+    if window is not None:
+        rep = realness_report(pairs, window, p["imag_tol"])
+        paths.append(_atomic_write(
+            cfg.output_dir / p["report_out"], _json_text(
+                cfg, "realness screen of windowed eigenvalues",
+                rep.to_json_obj())))
     return paths
 
 
-def cmd_pseudospectrum(cfg: RunConfig) -> list:
-    op = assemble_waveguide(_grid(cfg), _alpha_function(cfg), _v_function(cfg))
-    rect = _rect(cfg)
-    pmap = pseudospectrum_map(op, rect, _count(cfg, "mx"), _count(cfg, "my"),
-                              dense_cutoff=_count(cfg, "dense_cutoff", 0))
+def cmd_pseudospectrum(cfg: RunConfig, p: dict) -> list:
+    rect = _rect(p)
+    window = _window(p, "fit_window_lo", "fit_window_hi")
+    pmap = pseudospectrum_map(_strip(p), rect, p["mx"], p["my"],
+                              dense_cutoff=p["dense_cutoff"])
     rows = []
     for iy in range(pmap.lambdas.shape[0]):
         for ix in range(pmap.lambdas.shape[1]):
@@ -350,51 +341,36 @@ def cmd_pseudospectrum(cfg: RunConfig) -> list:
             rows.append([_fmt(lam.real), _fmt(lam.imag),
                          _fmt(pmap.sigmas[iy, ix]),
                          "1" if pmap.flagged[iy, ix] else "0"])
-    path = cfg.output_dir / cfg.parameters["out"]
-    _atomic_write(path, _csv_text(
+    paths = [_atomic_write(cfg.output_dir / p["out"], _csv_text(
         cfg, "smallest singular value of (H - lambda) over a rectangle",
-        ["re_lambda", "im_lambda", "sigma_min", "flagged"], rows))
-    paths = [path]
-
-    lo, hi = cfg.parameters.get("fit_window_lo"), cfg.parameters.get("fit_window_hi")
-    if lo is not None and hi is not None:
-        fit = imag_bound_fit(
-            pmap, (_finite(cfg, "fit_window_lo"), _finite(cfg, "fit_window_hi")),
-            im_band=(_finite(cfg, "fit_band_lo"), _finite(cfg, "fit_band_hi")))
-        fpath = cfg.output_dir / cfg.parameters["fit_out"]
-        _atomic_write(fpath, _json_text(
+        ["re_lambda", "im_lambda", "sigma_min", "flagged"], rows))]
+    if window is not None:
+        fit = imag_bound_fit(pmap, window,
+                             im_band=(p["fit_band_lo"], p["fit_band_hi"]))
+        paths.append(_atomic_write(cfg.output_dir / p["fit_out"], _json_text(
             cfg, "log-log fit of |Im lambda| against sigma_min",
-            fit.to_json_obj()))
-        paths.append(fpath)
+            fit.to_json_obj())))
     return paths
 
 
-def cmd_figures(cfg: RunConfig) -> list:
-    which = cfg.parameters["which"]
-    a = _positive(cfg, "a")
-    if which == "fig1":
-        lo, hi = _finite(cfg, "alpha0_min"), _finite(cfg, "alpha0_max")
-        n = _count(cfg, "alpha0_samples", 2)
-        modes_n = _count(cfg, "modes")
+def cmd_figures(cfg: RunConfig, p: dict) -> list:
+    alphas = np.linspace(p["alpha0_min"], p["alpha0_max"], p["alpha0_samples"])
+    if p["which"] == "fig1":
         rows = []
-        for alpha0 in np.linspace(lo, hi, n):
-            for m in _mode_table(a, float(alpha0), modes_n):
+        for alpha0 in alphas:
+            for m in _mode_table(p["a"], float(alpha0), p["modes"]):
                 rows.append([_fmt(alpha0), str(m.mu_index), _fmt(m.lam),
                              m.type.value])
-        path = cfg.output_dir / "fig1.csv"
-        _atomic_write(path, _csv_text(
+        return [_atomic_write(cfg.output_dir / "fig1.csv", _csv_text(
             cfg, "transversal eigenvalue curves and types against the "
                  "imaginary coupling strength",
-            ["alpha0", "n", "lambda", "type"], rows))
-        return [path]
-    if which == "fig2":
-        lo, hi = _finite(cfg, "alpha0_min"), _finite(cfg, "alpha0_max")
-        n = _count(cfg, "alpha0_samples", 2)
+            ["alpha0", "n", "lambda", "type"], rows))]
+    if p["which"] == "fig2":
         long = longitudinal_spectrum(Zero())
         rows = []
-        for alpha0 in np.linspace(lo, hi, n):
-            dec = waveguide_m_sets(a, float(alpha0), long,
-                                   window_max=_finite(cfg, "window_max"))
+        for alpha0 in alphas:
+            dec = waveguide_m_sets(p["a"], float(alpha0), long,
+                                   window_max=p["window_max"])
             for name, part in (("pp", dec.sigma_pp), ("mm", dec.sigma_mm),
                                ("00", dec.sigma_00)):
                 for iv in part.intervals:
@@ -402,38 +378,132 @@ def cmd_figures(cfg: RunConfig) -> list:
                                  "inf" if math.isinf(iv.upper) else _fmt(iv.upper),
                                  "1" if iv.lower_closed else "0",
                                  "1" if iv.upper_closed else "0"])
-        path = cfg.output_dir / "fig2.csv"
-        _atomic_write(path, _csv_text(
+        return [_atomic_write(cfg.output_dir / "fig2.csv", _csv_text(
             cfg, "typed spectral-support intervals against the imaginary "
                  "coupling strength",
             ["alpha0", "set", "lower", "upper", "lower_closed",
-             "upper_closed"], rows))
-        return [path]
-    if which == "fig3":
-        sub = RunConfig(command="branches",
-                        parameters={**cfg.parameters,
-                                    "out_prefix": "fig3_branch"},
-                        output_dir=cfg.output_dir, seed=cfg.seed,
-                        tolerances=cfg.tolerances)
-        return cmd_branches(sub)
-    raise ValidationError(f"unknown figure {which!r}")
+             "upper_closed"], rows))]
+    sub = replace(cfg, command="branches",
+                  parameters={**cfg.parameters, "out_prefix": "fig3_branch"})
+    return cmd_branches(sub, {**p, "out_prefix": "fig3_branch"})
 
 
-HANDLERS = {
-    "transversal": cmd_transversal,
-    "msets": cmd_msets,
-    "secular": cmd_secular,
-    "branches": cmd_branches,
-    "tensor-check": cmd_tensor_check,
-    "spectrum2d": cmd_spectrum2d,
-    "pseudospectrum": cmd_pseudospectrum,
-    "figures": cmd_figures,
+# ---------------------------------------------------------------------------
+# The parameter table, command -> (handler, help, rows) with each row
+# name -> (default, check).  It builds every flag, and every flag and config
+# entry is checked by its row.
+# ---------------------------------------------------------------------------
+
+_COMMON = {
+    "output_dir": (".", _path),
+    "seed": (0, _num(int, 0)),
 }
 
+_GRID = {
+    "a": (math.pi / 2, _positive_real),
+    "alpha0": (0.5, _real),
+    "beta0": (0.0, _real),
+    "lx": (10.0, _positive_real),
+    "nx": (64, _num(int, 8)),
+    "ny": (24, _num(int, 8)),
+    "x_boundary": ("dirichlet", _choice("dirichlet", "periodic")),
+    "v0": ("zero", _choice("zero", "constant")),
+    "v0_value": (0.0, _real),
+    "bump_height": (0.0, _real),
+    "bump_width": (1.0, _positive_real),
+    "bump_center": (0.0, _real),
+}
 
-# ---------------------------------------------------------------------------
-# Argument parsing and config resolution
-# ---------------------------------------------------------------------------
+_BRANCHES = {
+    "a": (math.pi / 2, _positive_real),
+    "alpha0": (1.0, _real),
+    "beta0_min": (-0.1, _real),
+    "beta0_max": (-0.001, _real),
+    "samples": (16, _num(int, 2)),
+    "seed_region": (None, _regions),
+    "tol": (1e-12, _positive_real),
+}
+
+COMMANDS = {
+    "transversal": (cmd_transversal, "closed-form transversal modes", {
+        "a": (math.pi / 2, _positive_real),
+        "alpha0": (0.5, _real),
+        "modes": (10, _num(int, 1)),
+        "out": ("transversal.csv", _path),
+    }),
+    "msets": (cmd_msets, "typed decomposition of the spectrum", {
+        "a": (math.pi / 2, _positive_real),
+        "alpha0": (0.5, _real),
+        "v0": ("zero", _choice("zero", "constant", "square-well")),
+        "v0_value": (0.0, _real),
+        "well_depth": (1.0, _positive_real),
+        "well_width": (2.0, _positive_real),
+        "window_max": (25.0, _real),
+        "n_modes": (None, _num(int, 1, optional=True)),
+        "out": ("msets.json", _path),
+    }),
+    "secular": (cmd_secular, "certified roots of the secular function", {
+        "a": (math.pi / 2, _positive_real),
+        "alpha0": (1.0, _real),
+        "beta0": (-0.05, _real),
+        **_rect_rows(0.7, 1.3, -0.4, 0.4),
+        "tol": (1e-12, _positive_real),
+        "out": ("secular_roots.csv", _path),
+    }),
+    "branches": (cmd_branches, "track secular roots over beta0", {
+        **_BRANCHES,
+        "out_prefix": ("branch", _path),
+    }),
+    "tensor-check": (cmd_tensor_check,
+                     "randomized Kronecker-sum prediction campaign", {
+        "instances": (200, _num(int, 1)),
+        "dim_cap": (4096, _num(int, 1)),
+        "out": ("campaign.json", _path),
+    }),
+    "spectrum2d": (cmd_spectrum2d, "strip eigenvalues near a target", {
+        **_GRID,
+        "target_re": (0.3, _real),
+        "target_im": (0.0, _real),
+        "count": (6, _num(int, 1)),
+        "window_lo": (None, _num(optional=True)),
+        "window_hi": (None, _num(optional=True)),
+        "imag_tol": (1e-7, _real),
+        "out": ("spectrum2d.csv", _path),
+        "report_out": ("realness.json", _path),
+    }),
+    "pseudospectrum": (cmd_pseudospectrum,
+                       "sigma_min sweep over a rectangle", {
+        **_GRID,
+        **_rect_rows(0.3, 0.9, 0.02, 0.15),
+        "mx": (13, _num(int, 1)),
+        "my": (7, _num(int, 1)),
+        "dense_cutoff": (400, _num(int, 0)),
+        "fit_window_lo": (None, _num(optional=True)),
+        "fit_window_hi": (None, _num(optional=True)),
+        "fit_band_lo": (0.03, _real),
+        "fit_band_hi": (0.12, _real),
+        "out": ("pseudospectrum.csv", _path),
+        "fit_out": ("fit.json", _path),
+    }),
+    "figures": (cmd_figures, "plot-ready CSV data sets", {
+        "which": (None, _choice("fig1", "fig2", "fig3", required=True)),
+        **_BRANCHES,
+        "alpha0_min": (0.05, _real),
+        "alpha0_max": (3.0, _real),
+        "alpha0_samples": (60, _num(int, 2)),
+        "modes": (6, _num(int, 1)),
+        "window_max": (25.0, _real),
+    }),
+}
+
+_HELP = {
+    "modes": "number of modes listed, lowest first",
+    "n_modes": "pin the transversal mode count instead of deriving it from "
+               "the window",
+    "seed_region": "re0,re1,im0,im1 rectangle solved for seed roots at "
+                   "beta0-min (repeatable)",
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -444,137 +514,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"kreinspec {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, (_, help_text, rows) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", type=str, default=None,
                        help="JSON file whose entries override the flags")
-        p.add_argument("--output-dir", type=str, default=".")
-        p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("transversal", help="closed-form transversal modes")
-    common(p)
-    p.add_argument("--a", type=float, default=math.pi / 2)
-    p.add_argument("--alpha0", type=float, default=0.5)
-    p.add_argument("--modes", type=int, default=10,
-                   help="number of modes listed, lowest first")
-    p.add_argument("--out", type=str, default="transversal.csv")
-
-    p = sub.add_parser("msets", help="typed decomposition of the spectrum")
-    common(p)
-    p.add_argument("--a", type=float, default=math.pi / 2)
-    p.add_argument("--alpha0", type=float, default=0.5)
-    p.add_argument("--v0", choices=["zero", "constant", "square-well"],
-                   default="zero")
-    p.add_argument("--v0-value", type=float, default=0.0)
-    p.add_argument("--well-depth", type=float, default=1.0)
-    p.add_argument("--well-width", type=float, default=2.0)
-    p.add_argument("--window-max", type=float, default=25.0)
-    p.add_argument("--n-modes", type=int, default=None,
-                   help="pin the transversal mode count instead of deriving "
-                        "it from the window")
-    p.add_argument("--out", type=str, default="msets.json")
-
-    p = sub.add_parser("secular", help="certified roots of the secular function")
-    common(p)
-    p.add_argument("--a", type=float, default=math.pi / 2)
-    p.add_argument("--alpha0", type=float, default=1.0)
-    p.add_argument("--beta0", type=float, default=-0.05)
-    p.add_argument("--re-min", type=float, default=0.7)
-    p.add_argument("--re-max", type=float, default=1.3)
-    p.add_argument("--im-min", type=float, default=-0.4)
-    p.add_argument("--im-max", type=float, default=0.4)
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--out", type=str, default="secular_roots.csv")
-
-    p = sub.add_parser("branches", help="track secular roots over beta0")
-    common(p)
-    p.add_argument("--a", type=float, default=math.pi / 2)
-    p.add_argument("--alpha0", type=float, default=1.0)
-    p.add_argument("--beta0-min", type=float, default=-0.1)
-    p.add_argument("--beta0-max", type=float, default=-0.001)
-    p.add_argument("--samples", type=int, default=16)
-    p.add_argument("--seed-region", action="append", default=None,
-                   help="re0,re1,im0,im1 rectangle solved for seed roots "
-                        "at beta0-min (repeatable)")
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--out-prefix", type=str, default="branch")
-
-    p = sub.add_parser("tensor-check",
-                       help="randomized Kronecker-sum prediction campaign")
-    common(p)
-    p.add_argument("--instances", type=int, default=200)
-    p.add_argument("--dim-cap", type=int, default=4096)
-    p.add_argument("--out", type=str, default="campaign.json")
-
-    def grid_flags(p):
-        p.add_argument("--a", type=float, default=math.pi / 2)
-        p.add_argument("--alpha0", type=float, default=0.5)
-        p.add_argument("--beta0", type=float, default=0.0)
-        p.add_argument("--lx", type=float, default=10.0)
-        p.add_argument("--nx", type=int, default=64)
-        p.add_argument("--ny", type=int, default=24)
-        p.add_argument("--x-boundary", choices=["dirichlet", "periodic"],
-                       default="dirichlet")
-        p.add_argument("--v0", choices=["zero", "constant"], default="zero")
-        p.add_argument("--v0-value", type=float, default=0.0)
-        p.add_argument("--bump-height", type=float, default=0.0)
-        p.add_argument("--bump-width", type=float, default=1.0)
-        p.add_argument("--bump-center", type=float, default=0.0)
-
-    p = sub.add_parser("spectrum2d", help="strip eigenvalues near a target")
-    common(p)
-    grid_flags(p)
-    p.add_argument("--target-re", type=float, default=0.3)
-    p.add_argument("--target-im", type=float, default=0.0)
-    p.add_argument("--count", type=int, default=6)
-    p.add_argument("--window-lo", type=float, default=None)
-    p.add_argument("--window-hi", type=float, default=None)
-    p.add_argument("--imag-tol", type=float, default=1e-7)
-    p.add_argument("--out", type=str, default="spectrum2d.csv")
-    p.add_argument("--report-out", type=str, default="realness.json")
-
-    p = sub.add_parser("pseudospectrum",
-                       help="sigma_min sweep over a rectangle")
-    common(p)
-    grid_flags(p)
-    p.add_argument("--re-min", type=float, default=0.3)
-    p.add_argument("--re-max", type=float, default=0.9)
-    p.add_argument("--im-min", type=float, default=0.02)
-    p.add_argument("--im-max", type=float, default=0.15)
-    p.add_argument("--mx", type=int, default=13)
-    p.add_argument("--my", type=int, default=7)
-    p.add_argument("--dense-cutoff", type=int, default=400)
-    p.add_argument("--fit-window-lo", type=float, default=None)
-    p.add_argument("--fit-window-hi", type=float, default=None)
-    p.add_argument("--fit-band-lo", type=float, default=0.03)
-    p.add_argument("--fit-band-hi", type=float, default=0.12)
-    p.add_argument("--out", type=str, default="pseudospectrum.csv")
-    p.add_argument("--fit-out", type=str, default="fit.json")
-
-    p = sub.add_parser("figures", help="plot-ready CSV data sets")
-    common(p)
-    p.add_argument("--which", choices=["fig1", "fig2", "fig3"],
-                   required=True)
-    p.add_argument("--a", type=float, default=math.pi / 2)
-    p.add_argument("--alpha0", type=float, default=1.0)
-    p.add_argument("--alpha0-min", type=float, default=0.05)
-    p.add_argument("--alpha0-max", type=float, default=3.0)
-    p.add_argument("--alpha0-samples", type=int, default=60)
-    p.add_argument("--modes", type=int, default=6)
-    p.add_argument("--window-max", type=float, default=25.0)
-    p.add_argument("--beta0-min", type=float, default=-0.1)
-    p.add_argument("--beta0-max", type=float, default=-0.001)
-    p.add_argument("--samples", type=int, default=16)
-    p.add_argument("--seed-region", action="append", default=None)
-    p.add_argument("--tol", type=float, default=1e-12)
+        for key, (default, check) in {**_COMMON, **rows}.items():
+            p.add_argument(_flag(key), default=default, help=_HELP.get(key),
+                           **check.argparse)
     return parser
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    skip = {"command", "config", "output_dir", "seed"}
-    params = {k: v for k, v in vars(args).items() if k not in skip}
-    output_dir = args.output_dir
-    seed = args.seed
+def resolve_config(args: argparse.Namespace) -> tuple[RunConfig, dict]:
+    """Merge the flags with the config file and check every value by its
+    table row.  Returns the run config, whose parameters are the merged
+    values as given (their hash heads every output), and the checked values."""
+    merged = {k: v for k, v in vars(args).items()
+              if k not in ("command", "config")}
     tolerances = dict(DEFAULT_TOLERANCES)
     if args.config is not None:
         try:
@@ -592,17 +547,21 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
                 for k, v in given.items()):
             raise ValidationError(f"tolerances must be positive numbers named {sorted(tolerances)}")
         tolerances.update(given)
-        output_dir = doc.pop("output_dir", output_dir)
-        seed = _number(doc.pop("seed", seed), "seed", int)
-        unknown = set(doc) - set(params)
+        unknown = set(doc) - set(merged)
         if unknown:
             raise ValidationError(
                 f"config keys {sorted(unknown)} do not match any "
                 f"{args.command} parameter")
-        params.update(doc)
-    return RunConfig(command=args.command, parameters=params,
-                     output_dir=Path(output_dir), seed=seed,
-                     tolerances=tolerances)
+        merged.update(doc)
+    rows = {**_COMMON, **COMMANDS[args.command][2]}
+    p = {key: check(merged[key], _flag(key))
+         for key, (_, check) in rows.items()}
+    cfg = RunConfig(command=args.command,
+                    parameters={k: v for k, v in merged.items()
+                                if k not in _COMMON},
+                    output_dir=Path(p["output_dir"]), seed=p["seed"],
+                    tolerances=tolerances)
+    return cfg, p
 
 
 def main(argv=None) -> int:
@@ -612,8 +571,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = resolve_config(args)
-        for path in HANDLERS[cfg.command](cfg):
+        cfg, p = resolve_config(args)
+        for path in COMMANDS[cfg.command][0](cfg, p):
             print(path)
         return 0
     except ValidationError as exc:

@@ -11,8 +11,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from kreinspec.cli import DEFAULT_TOLERANCES, main
+from kreinspec.cli import (COMMANDS, DEFAULT_TOLERANCES, build_parser, main,
+                           resolve_config)
+from kreinspec.errors import ValidationError
 
 
 def run_cli(args, tmp_path, sub=None):
@@ -341,6 +345,14 @@ class TestExitCodes:
         ("spectrum2d", {"imag_tol": "x", "window_lo": 0, "window_hi": 0.9}),
         ("msets", {"n_modes": "x"}),
         ("branches", {"seed_region": [[0.7, "x", -0.4, 0.4]]}),
+        ("spectrum2d", {"out": 5}),
+        ("spectrum2d", {"x_boundary": "neumann"}),
+        ("spectrum2d", {"output_dir": 5}),
+        ("spectrum2d", {"count": 2.7}),
+        ("spectrum2d", {"window_lo": 0}),
+        ("transversal", {"a": True}),
+        ("transversal", {"out": ""}),
+        ("tensor-check", {"seed": -1, "instances": 1}),
     ])
     def test_malformed_config_values_exit_two(self, tmp_path, command, doc):
         cfg = tmp_path / "run.json"
@@ -352,6 +364,19 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("args", [
+        ["spectrum2d", "--window-lo", "0"],
+        ["spectrum2d", "--window-hi", "0.9"],
+        ["pseudospectrum", "--fit-window-lo", "0.3"],
+    ])
+    def test_half_window_flag_exits_two_before_any_output(
+            self, tmp_path, capsys, args):
+        code, out = run_cli(args, tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "together" in err
+        assert not out.exists()
 
     def test_version_and_help_exit_zero(self, capsys):
         assert main(["--version"]) == 0
@@ -396,7 +421,65 @@ class TestAtomicWrites:
         assert not list(out.glob("*.tmp"))
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=8)
+
+
+class TestParameterTable:
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_any_config_resolves_or_is_a_validation_error(self, tmp_path,
+                                                          command):
+        keys = sorted(COMMANDS[command][2]) + ["seed", "output_dir"]
+        tolerances = st.dictionaries(
+            st.sampled_from(sorted(DEFAULT_TOLERANCES) + ["grm"]), JSON_VALUES,
+            max_size=3)
+        docs = st.dictionaries(st.sampled_from(keys), JSON_VALUES, max_size=6)
+        docs = docs | st.builds(lambda d, t: {**d, "tolerances": t},
+                                docs, tolerances | JSON_VALUES)
+        path = tmp_path / "run.json"
+        argv = [command, "--config", str(path)]
+        if command == "figures":
+            argv[1:1] = ["--which", "fig1"]
+
+        @settings(max_examples=50, derandomize=True, database=None,
+                  deadline=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(docs)
+        def resolve(doc):
+            path.write_text(json.dumps(doc))
+            try:
+                resolve_config(build_parser().parse_args(argv))
+            except ValidationError:
+                pass
+
+        resolve()
+
+    def test_defaults_pass_their_own_checks(self):
+        for command, (_, _, rows) in COMMANDS.items():
+            argv = [command] + (["--which", "fig3"] if command == "figures"
+                                else [])
+            cfg, p = resolve_config(build_parser().parse_args(argv))
+            assert set(p) == set(rows) | {"seed", "output_dir"}
+            assert set(cfg.parameters) == set(rows)
+
+
 class TestRunConfigHash:
+    @pytest.mark.parametrize("args, name, digest", [
+        (["transversal"], "transversal.csv",
+         "5afbda7cfb52a0fdf5d2d51d0b9c3285e3206c48539d3481dc4a9863c23b4e0c"),
+        (["figures", "--which", "fig3"], "fig3_branch1.csv",
+         "3588f4f99eb3ad1e353ce7f7685fe137df06edc697b4c1b9e192f0cdd766cc80"),
+    ])
+    def test_default_runs_keep_their_config_hash(self, tmp_path, args, name,
+                                                  digest):
+        code, out = run_cli(args, tmp_path)
+        assert code == 0
+        header, _, _ = read_rows(out / name)
+        assert f"# config-sha256: {digest}" in header
+
     def test_hash_depends_on_parameters_only_as_documented(self, tmp_path):
         from kreinspec.cli import RunConfig
         base = dict(command="transversal", parameters={"a": 1.0},
