@@ -207,6 +207,8 @@ def _window(p: dict, lo: str, hi: str):
     if (p[lo] is None) != (p[hi] is None):
         raise ValidationError(f"{_flag(lo)} and {_flag(hi)} must be given "
                               "together")
+    if p[lo] is not None and p[lo] > p[hi]:
+        raise ValidationError(f"{_flag(lo)} must not exceed {_flag(hi)}")
     return None if p[lo] is None else (p[lo], p[hi])
 
 
@@ -316,12 +318,13 @@ def cmd_spectrum2d(cfg: RunConfig, p: dict) -> list:
     window = _window(p, "window_lo", "window_hi")
     pairs = eigs_near(_strip(p), complex(p["target_re"], p["target_im"]),
                       p["count"], tol=cfg.tolerances["residual"])
+    rep = (None if window is None
+           else realness_report(pairs, window, p["imag_tol"]))
     rows = [[_fmt(lam.real), _fmt(lam.imag), _fmt(res)] for lam, res in pairs]
     paths = [_atomic_write(cfg.output_dir / p["out"], _csv_text(
         cfg, "strip-operator eigenvalues nearest the target",
         ["re_lambda", "im_lambda", "residual"], rows))]
-    if window is not None:
-        rep = realness_report(pairs, window, p["imag_tol"])
+    if rep is not None:
         paths.append(_atomic_write(
             cfg.output_dir / p["report_out"], _json_text(
                 cfg, "realness screen of windowed eigenvalues",
@@ -334,6 +337,8 @@ def cmd_pseudospectrum(cfg: RunConfig, p: dict) -> list:
     window = _window(p, "fit_window_lo", "fit_window_hi")
     pmap = pseudospectrum_map(_strip(p), rect, p["mx"], p["my"],
                               dense_cutoff=p["dense_cutoff"])
+    fit = None if window is None else imag_bound_fit(
+        pmap, window, im_band=(p["fit_band_lo"], p["fit_band_hi"]))
     rows = []
     for iy in range(pmap.lambdas.shape[0]):
         for ix in range(pmap.lambdas.shape[1]):
@@ -344,9 +349,7 @@ def cmd_pseudospectrum(cfg: RunConfig, p: dict) -> list:
     paths = [_atomic_write(cfg.output_dir / p["out"], _csv_text(
         cfg, "smallest singular value of (H - lambda) over a rectangle",
         ["re_lambda", "im_lambda", "sigma_min", "flagged"], rows))]
-    if window is not None:
-        fit = imag_bound_fit(pmap, window,
-                             im_band=(p["fit_band_lo"], p["fit_band_hi"]))
+    if fit is not None:
         paths.append(_atomic_write(cfg.output_dir / p["fit_out"], _json_text(
             cfg, "log-log fit of |Im lambda| against sigma_min",
             fit.to_json_obj())))

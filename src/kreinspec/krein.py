@@ -350,8 +350,11 @@ def _classified_roots(T, J, tol: float = 1e-8,
         eigvals = np.linalg.eigvals(T)
     clusters = _cluster_eigenvalues(eigvals, cluster_gap)
     if points is not None:
-        wanted = {int(np.argmin([np.min(np.abs(eigvals[c] - p)) for c in clusters]))
-                  for p in points}
+        label = np.empty(len(eigvals), dtype=int)
+        for i, c in enumerate(clusters):
+            label[c] = i
+        wanted = {int(label[d == d.min()].min())  # first cluster on a tie
+                  for d in (np.abs(eigvals - p) for p in points)}
         clusters = [clusters[i] for i in sorted(wanted)]
 
     roots = [_root_entry(R, Z, Jm, eigvals, idx, scale, tol) for idx in clusters]

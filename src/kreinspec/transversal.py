@@ -15,13 +15,15 @@ function
 
     F(k) = (k^2 - alpha0^2 - beta0^2) sin(2 k a) - 2 beta0 k cos(2 k a),
 
-whose roots are certified by argument-principle winding counts.
+whose roots are certified by argument-principle winding counts.  A simple
+root's cell stops at Newton; a root cluster's bisects to the isolation size.
 """
 from __future__ import annotations
 
 import cmath
 import math
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -236,15 +238,18 @@ def _make_secular(a: float, alpha0: float, beta0: float):
 
 def secular_value(k, a: float, alpha0: float, beta0: float):
     """F(k) = (k^2 - alpha0^2 - beta0^2) sin(2ka) - 2 beta0 k cos(2ka)."""
-    k = np.asarray(k, dtype=complex)
-    out = ((k * k - alpha0**2 - beta0**2) * np.sin(2.0 * a * k)
-           - 2.0 * beta0 * k * np.cos(2.0 * a * k))
-    return complex(out) if out.ndim == 0 else out
+    return _elementwise(_make_secular(a, alpha0, beta0)[0], k)
 
 
 def secular_derivative(k, a: float, alpha0: float, beta0: float):
     """dF/dk for the secular function."""
-    return _make_secular(a, alpha0, beta0)[1](complex(k))
+    return _elementwise(_make_secular(a, alpha0, beta0)[1], k)
+
+
+def _elementwise(fn, k):
+    # the root finder's scalar formula, element by element over arrays
+    out = np.vectorize(lambda z: fn(complex(z)), otypes=[complex])(k)
+    return complex(out) if out.ndim == 0 else out
 
 
 def _winding_number(f, rect, phase_rate: float = 0.0,
@@ -342,8 +347,17 @@ def _subdivide(f, fp, rect, w, tol, iso, phase_rate):
     if w == 0:
         return []
     re0, re1, im0, im1 = rect
+    center = complex(0.5 * (re0 + re1), 0.5 * (im0 + im1))
+    if w == 1:  # one root: Newton from the centre, certified by a small box
+        h = iso / (2.0 * math.sqrt(2.0))
+        with suppress(RootCertificationError):  # Newton or box failed
+            k = _newton_refine(f, fp, center, 1, tol)
+            box = (max(re0, k.real - h), min(re1, k.real + h),
+                   max(im0, k.imag - h), min(im1, k.imag + h))
+            if (re0 < k.real < re1 and im0 < k.imag < im1
+                    and _winding_number(f, box, phase_rate) == 1):
+                return [k]
     if math.hypot(re1 - re0, im1 - im0) <= iso:
-        center = complex(0.5 * (re0 + re1), 0.5 * (im0 + im1))
         root = _newton_refine(f, fp, center, w, tol)
         return [root] * w
 
@@ -374,7 +388,9 @@ def secular_roots(a: float, alpha0: float, beta0: float,
 
     The total count is certified by the argument principle on the region
     boundary (with slight outward perturbation retries if a root sits on
-    it), cells are subdivided until each holds one root cluster, and a
+    it) and cells are bisected; a cell that winds once ends at Newton's
+    point if it lies inside and a box of diagonal iso (1e-5 of the region's)
+    around it winds once.  Other cells bisect down to diagonal iso, where a
     multiplicity-aware Newton iteration polishes each root to |F| <= tol.
     The rectangle must exclude k = 0, which is always a trivial zero of F
     (the k <-> -k symmetry artifact).
@@ -437,10 +453,7 @@ def branch_curves(a: float, alpha0: float, beta0_samples: Sequence[float],
     if not seeds:
         raise ValidationError("need at least one seed root")
 
-    def make_f(b0):
-        return _make_secular(a, alpha0, b0)
-
-    f0, fp0 = make_f(samples[0])
+    f0, fp0 = _make_secular(a, alpha0, samples[0])
     current = [_newton_refine(f0, fp0, s, 1, tol) for s in seeds]
     for i, x in enumerate(current):
         for y in current[i + 1:]:
@@ -448,7 +461,7 @@ def branch_curves(a: float, alpha0: float, beta0_samples: Sequence[float],
                 raise ValidationError("seed roots are not distinct branches")
 
     def advance(b_from, b_to, ks, depth):
-        f, fp = make_f(b_to)
+        f, fp = _make_secular(a, alpha0, b_to)
         try:
             new = [_newton_refine(f, fp, k, 1, tol) for k in ks]
         except RootCertificationError:

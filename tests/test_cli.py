@@ -378,6 +378,19 @@ class TestExitCodes:
         assert err.startswith("error: ") and "together" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [
+        ["spectrum2d", "--nx", "16", "--ny", "8", "--count", "3",
+         "--window-lo", "1", "--window-hi", "0.5"],
+        ["pseudospectrum", "--nx", "16", "--ny", "8", "--mx", "3", "--my", "3",
+         "--fit-window-lo", "5", "--fit-window-hi", "6"],
+    ])
+    def test_late_window_failure_writes_nothing(self, tmp_path, capsys, args):
+        # an inverted window, and a fit window with no samples in it
+        code, out = run_cli(args, tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_version_and_help_exit_zero(self, capsys):
         assert main(["--version"]) == 0
         assert "kreinspec" in capsys.readouterr().out

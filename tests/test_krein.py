@@ -643,3 +643,52 @@ class TestDefinitenessConstants:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValidationError, match="shape"):
             definiteness_constants(SIG2, np.ones((3, 1)), np.zeros((2, 0)))
+
+
+class TestQueryClusterSelection:
+    """A query point selects the cluster of its nearest eigenvalue, the
+    first cluster on a tie: the scan over every cluster it replaced is the
+    reference."""
+
+    @staticmethod
+    def scan(T, eigvals, points):
+        clusters = _cluster_eigenvalues(eigvals, 1e-8 * max(1.0, _norm2(T)))
+        picked = {int(np.argmin([np.min(np.abs(eigvals[c] - p))
+                                 for c in clusters])) for p in points}
+        return sorted(tuple(clusters[i]) for i in picked)
+
+    @staticmethod
+    def selected(monkeypatch, T, J, eigvals, points):
+        seen, root_entry = [], krein._root_entry
+
+        def recording(R, Z, Jm, ev, idx, *rest):
+            seen.append(tuple(idx))
+            return root_entry(R, Z, Jm, ev, idx, *rest)
+
+        monkeypatch.setattr(krein, "_root_entry", recording)
+        _classified_roots(T, J, eigvals=eigvals, points=points)
+        return sorted(seen)
+
+    def test_robin_queries_match_scan(self, monkeypatch):
+        T, J = robin_fd(A_STRIP, 1.7j, 121)
+        eigvals = np.linalg.eigvals(T)
+        lams = [eigvals[np.argmin(np.abs(eigvals - m.lam))]
+                for m in transversal_modes(A_STRIP, 1.7, 20)]
+        assert len(lams) == 21
+        for lam in lams:
+            assert (self.selected(monkeypatch, T, J, eigvals, [lam])
+                    == self.scan(T, eigvals, [lam]))
+        assert (self.selected(monkeypatch, T, J, eigvals, lams)
+                == self.scan(T, eigvals, lams))
+
+    def test_equidistant_query_takes_first_cluster(self, monkeypatch):
+        # p is exactly as far from 2 (index 1, cluster 1) as from 0.5 + d
+        # (index 3, cluster 0 with 0.5): the lower cluster wins, not the
+        # lower eigenvalue index
+        d = 2.0 ** -30
+        eigvals = np.array([0.5, 2.0, 9.0, 0.5 + d], dtype=complex)
+        T = np.diag(eigvals)
+        p = 1.25 + d / 2
+        assert abs(p - 2.0) == abs(p - 0.5 - d)
+        got = self.selected(monkeypatch, T, np.eye(4), eigvals, [p])
+        assert got == self.scan(T, eigvals, [p]) == [(0, 3)]

@@ -499,6 +499,13 @@ class TestCampaign:
         again = run_campaign(seed=7, n_instances=20)
         assert again.instances == result.instances
 
+    def test_default_campaign_has_no_failures_or_unmatched_points(self):
+        # criterion 6 gates the violations; oracle failures and unmatched
+        # points are gated at zero too
+        result = run_campaign(20260815, 200)
+        assert result.total_failures == 0
+        assert result.total_unmatched == 0
+
     def test_sums_separated_matches_pairwise_loop(self):
         # dyadic eigenvalues make sums exactly gap apart: that still counts
         # as separated, only strictly closer sums do not

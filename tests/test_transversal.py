@@ -33,6 +33,9 @@ from kreinspec.transversal import (
     transversal_modes,
     waveguide_m_sets,
 )
+from kreinspec import transversal
+from kreinspec.transversal import (_make_secular, _newton_refine,
+                                   _winding_number)
 
 A_HALF = math.pi / 2
 
@@ -313,6 +316,100 @@ class TestSecular:
         # k = 0.5 is an exact root sitting on the left edge
         with pytest.raises(RootCertificationError):
             secular_roots(A_HALF, 0.5, 0.0, (0.5, 1.5, -0.1, 0.1))
+
+
+def bisect_to_iso(a, alpha0, beta0, region, tol=1e-12):
+    """Reference: every cell, a simple one too, bisects to diagonal iso."""
+    f, fp = _make_secular(a, alpha0, beta0)
+    re0, re1, im0, im1 = region
+    iso = max(1e-7, 1e-5 * math.hypot(re1 - re0, im1 - im0))
+
+    def cells(rect, w):
+        r0, r1, i0, i1 = rect
+        if w == 0:
+            return []
+        if math.hypot(r1 - r0, i1 - i0) <= iso:
+            centre = complex(0.5 * (r0 + r1), 0.5 * (i0 + i1))
+            return [_newton_refine(f, fp, centre, w, tol)] * w
+        for ratio in (0.5, 0.44, 0.56, 0.38, 0.62):
+            if r1 - r0 >= i1 - i0:
+                cut = r0 + ratio * (r1 - r0)
+                halves = (r0, cut, i0, i1), (cut, r1, i0, i1)
+            else:
+                cut = i0 + ratio * (i1 - i0)
+                halves = (r0, r1, i0, cut), (r0, r1, cut, i1)
+            try:
+                ws = [_winding_number(f, h, 2.0 * a) for h in halves]
+            except RootCertificationError:
+                continue
+            if sum(ws) == w:
+                return cells(halves[0], ws[0]) + cells(halves[1], ws[1])
+        raise RootCertificationError(f"could not split {rect}")
+
+    roots = cells(region, _winding_number(f, region, 2.0 * a))
+    return sorted(roots, key=lambda z: (round(z.real, 12), round(z.imag, 12)))
+
+
+class TestCertifiedSimpleCells:
+    """A cell that winds once stops at its Newton root once a small box
+    around the root winds once too; the bisection it replaces is the
+    reference."""
+
+    CRITERION_8 = (A_HALF, 1.0, -0.05, (0.7, 1.3, -0.4, 0.4))
+
+    @pytest.mark.parametrize("beta0, region", [
+        (-0.05, (0.7, 1.3, -0.4, 0.4)),
+        (-0.001, (0.7, 1.3, -0.4, 0.4)),
+        (-0.1, (0.7, 1.3, -0.4, 0.4)),
+        (-0.05, (1.7, 2.3, -0.2, 0.2)),
+        (0.0, (0.5, 3.5, -0.5, 0.5)),  # double root at k = 1
+    ])
+    def test_matches_bisection_to_iso(self, beta0, region):
+        got = secular_roots(A_HALF, 1.0, beta0, region)
+        ref = bisect_to_iso(A_HALF, 1.0, beta0, region)
+        assert len(got) == len(ref) > 0
+        for g, r in zip(got, ref):
+            if abs(r - 1.0) < 1e-5 and beta0 == 0.0:
+                assert abs(g - r) <= 1e-6
+                for k in (g, r):
+                    assert abs(secular_value(k, A_HALF, 1.0, beta0)) <= 1e-12
+            else:
+                assert abs(g - r) <= 1e-12
+
+    def test_newton_leaving_its_cell_falls_back_to_bisection(self, monkeypatch):
+        # the first simple cell is the lower half of the region; Newton is
+        # made to land on the conjugate root, a root of F in the upper half
+        expect = secular_roots(*self.CRITERION_8)
+        strays = []
+
+        def stray_once(f, fp, k0, mult, tol, **kw):
+            k = _newton_refine(f, fp, k0, mult, tol, **kw)
+            if not strays:
+                strays.append(k.conjugate())
+                return k.conjugate()
+            return k
+
+        monkeypatch.setattr(transversal, "_newton_refine", stray_once)
+        got = secular_roots(*self.CRITERION_8)
+        assert len(strays) == 1 and strays[0].imag > 0
+        assert len(got) == len(expect)
+        for g, e in zip(got, expect):
+            assert abs(g - e) <= 1e-12
+
+    def test_criterion_8_region_needs_few_evaluations(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            f, fp = _make_secular(*args)
+
+            def f_counted(k):
+                calls.append(k)
+                return f(k)
+            return f_counted, fp
+
+        monkeypatch.setattr(transversal, "_make_secular", counted)
+        assert len(secular_roots(*self.CRITERION_8)) == 2
+        assert 0 < len(calls) <= 1000  # bisecting to iso took 10,454
 
 
 # ---------------------------------------------------------------------------
