@@ -117,10 +117,6 @@ class FactorSpec:
         return self.t.shape[0]
 
 
-def _typed_points(c: ClassifiedSpectrum, t: SpectralType) -> list[complex]:
-    return [complex(e.lam) for e in c.entries if e.type is t]
-
-
 def _invariance_residual(T, B) -> float:
     if B.shape[1] == 0:
         return 0.0
@@ -234,21 +230,24 @@ def _check_typed(c: ClassifiedSpectrum):
             raise ValidationError(f"eigenvalue {e.lam} carries no spectral type")
 
 
-def _tagged_sums(c1: ClassifiedSpectrum, c2: ClassifiedSpectrum,
-                 coalesce_tol: float) -> list[_SumGroup]:
-    """All pairwise eigenvalue sums, coalesced, with type-pair flags unioned."""
+def _pair_sums(c1: ClassifiedSpectrum, c2: ClassifiedSpectrum):
+    """Every pairwise eigenvalue sum and its type-pair tag, as two arrays."""
     _check_typed(c1)
     _check_typed(c2)
-    sums, tags = [], []
-    for e1 in c1.entries:
-        for e2 in c2.entries:
-            sums.append(complex(e1.lam) + complex(e2.lam))
-            tags.append(_tag(e1.type, e2.type))
-    pts = np.array(sums, dtype=complex)
+    pairs = [(e1, e2) for e1 in c1.entries for e2 in c2.entries]
+    pts = np.array([complex(e1.lam) + complex(e2.lam) for e1, e2 in pairs],
+                   dtype=complex)
+    tags = np.array([_tag(e1.type, e2.type) for e1, e2 in pairs], dtype="U2")
+    return pts, tags
+
+
+def _tagged_sums(pts: np.ndarray, tags: np.ndarray,
+                 coalesce_tol: float) -> list[_SumGroup]:
+    """The pair sums coalesced, with type-pair flags unioned."""
     groups = []
     for idx in _cluster_eigenvalues(pts, coalesce_tol):
         rep = complex(np.mean(pts[idx]))
-        groups.append(_SumGroup(rep=rep, flags=frozenset(tags[i] for i in idx)))
+        groups.append(_SumGroup(rep=rep, flags=frozenset(tags[idx].tolist())))
     groups.sort(key=lambda g: (g.rep.real, g.rep.imag))
     return groups
 
@@ -275,7 +274,7 @@ def predict_m_sets(c1, c2: ClassifiedSpectrum, coalesce_tol: float = 1e-7) -> MS
             parts.append(minkowski_add_points(pts, c1))
         return MSets(*parts)
 
-    groups = _tagged_sums(c1, c2, coalesce_tol)
+    groups = _tagged_sums(*_pair_sums(c1, c2), coalesce_tol)
     plus = tuple(g.rep for g in groups if g.flags & {"pp", "mm"})
     minus = tuple(g.rep for g in groups if g.flags & {"pm", "mp"})
     zero = tuple(g.rep for g in groups
@@ -283,24 +282,22 @@ def predict_m_sets(c1, c2: ClassifiedSpectrum, coalesce_tol: float = 1e-7) -> MS
     return MSets(plus, minus, zero)
 
 
-def _block_sums(c1, c2):
-    """Point arrays of the four definite block spectra and the remainder."""
-    p1, m1, r1 = (_typed_points(c1, t) for t in (_P, _M, _0))
-    p2, m2, r2 = (_typed_points(c2, t) for t in (_P, _M, _0))
-    all1 = p1 + m1 + r1
-    all2 = p2 + m2 + r2
-
-    def cross(a, b):
-        return np.array([x + y for x in a for y in b], dtype=complex)
-
-    return {
-        "pp": cross(p1, p2),
-        "mm": cross(m1, m2),
-        "pm": cross(p1, m2),
-        "mp": cross(m1, p2),
-        "r": np.concatenate([cross(r1, all2), cross(all1, r2)])
-        if (r1 or r2) else np.array([], dtype=complex),
-    }
+# Block rules as (near tags, constraint): a sum point gets the constraint
+# when one of its tags is near and every other block spectrum ("r" holds
+# the sums through a not-definite point) lies beyond the separation radius.
+# Each same-sign (mixed) block alone gives plus (minus) type; under the
+# product gate the two same-sign (mixed) blocks may overlap each other.
+_BLOCKS = ("pp", "mm", "pm", "mp", "r")
+_BLOCK_RULES = (
+    (frozenset({"pp"}), TypeConstraint.MUST_BE_PLUS),
+    (frozenset({"mm"}), TypeConstraint.MUST_BE_PLUS),
+    (frozenset({"pm"}), TypeConstraint.MUST_BE_MINUS),
+    (frozenset({"mp"}), TypeConstraint.MUST_BE_MINUS),
+)
+_GATED_RULES = (
+    (frozenset({"pp", "mm"}), TypeConstraint.MUST_BE_PLUS),
+    (frozenset({"pm", "mp"}), TypeConstraint.MUST_BE_MINUS),
+)
 
 
 def _dist(z: complex, pts: np.ndarray) -> float:
@@ -331,15 +328,17 @@ def predict_types(f1: FactorSpec, f2: FactorSpec,
     if separation_radius is None:
         separation_radius = 1e-4 * max(1.0, scale)
 
-    groups = _tagged_sums(f1.classification, f2.classification, coalesce_tol)
-    blocks = _block_sums(f1.classification, f2.classification)
+    pts, tags = _pair_sums(f1.classification, f2.classification)
+    groups = _tagged_sums(pts, tags, coalesce_tol)
+    blocks = {k: pts[tags == k] for k in _BLOCKS}
 
-    gate = False
+    block_rules = ()
     if use_block_rules:
         c1, c2 = f1.certificate, f2.certificate
         lhs = (c1.kappa_cross * c2.kappa_cross) ** 2
         rhs = c1.kappa_plus * c2.kappa_plus * c1.kappa_minus * c2.kappa_minus
         gate = (not math.isnan(rhs)) and lhs < rhs
+        block_rules = _BLOCK_RULES + (_GATED_RULES if gate else ())
 
     predicted = {}
     for g in groups:
@@ -353,26 +352,11 @@ def predict_types(f1: FactorSpec, f2: FactorSpec,
         else:
             rules.append(TypeConstraint.NOT_PLUS)
 
-        if use_block_rules:
-            far = {k: _dist(g.rep, v) > separation_radius
-                   for k, v in blocks.items()}
-            near = {k: k in g.flags for k in ("pp", "mm", "pm", "mp")}
-            # same-sign blocks, each isolated from everything else
-            if near["pp"] and far["mm"] and far["pm"] and far["mp"] and far["r"]:
-                rules.append(TypeConstraint.MUST_BE_PLUS)
-            if near["mm"] and far["pp"] and far["pm"] and far["mp"] and far["r"]:
-                rules.append(TypeConstraint.MUST_BE_PLUS)
-            if near["pm"] and far["pp"] and far["mm"] and far["mp"] and far["r"]:
-                rules.append(TypeConstraint.MUST_BE_MINUS)
-            if near["mp"] and far["pp"] and far["mm"] and far["pm"] and far["r"]:
-                rules.append(TypeConstraint.MUST_BE_MINUS)
-            if gate:
-                # product condition met: the two same-sign blocks (resp.
-                # mixed blocks) may overlap each other
-                if (near["pp"] or near["mm"]) and far["pm"] and far["mp"] and far["r"]:
-                    rules.append(TypeConstraint.MUST_BE_PLUS)
-                if (near["pm"] or near["mp"]) and far["pp"] and far["mm"] and far["r"]:
-                    rules.append(TypeConstraint.MUST_BE_MINUS)
+        for near, constraint in block_rules:
+            if g.flags & near and all(
+                    _dist(g.rep, blocks[k]) > separation_radius
+                    for k in _BLOCKS if k not in near):
+                rules.append(constraint)
 
         predicted[g.rep] = _merge_constraints(rules)
     return predicted

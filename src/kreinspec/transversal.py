@@ -327,6 +327,11 @@ def _newton_refine(f, fp, k0: complex, mult: int, tol: float,
     for _ in range(maxit):
         v = f(k)
         if abs(v) <= tol:
+            if mult == 1 and (d := fp(k)) != 0:
+                # one step past tol: a simple root then converges to the last bit
+                polished = k - v / d
+                if abs(f(polished)) <= abs(v):
+                    return polished
             return k
         d = fp(k)
         if d == 0:

@@ -11,6 +11,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -266,6 +267,8 @@ class TestDeterminism:
             (["secular"], "secular_roots.csv"),
             (["tensor-check", "--instances", "6", "--seed", "3"],
              "campaign.json"),
+            (["pseudospectrum", "--nx", "32", "--ny", "16", "--mx", "3",
+              "--my", "2"], "pseudospectrum.csv"),
         ):
             _, out_a = run_cli(args, tmp_path, sub="a" + name)
             _, out_b = run_cli(args, tmp_path, sub="b" + name)
@@ -389,6 +392,20 @@ class TestExitCodes:
         code, out = run_cli(args, tmp_path)
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_unconverged_sigma_min_exits_three_and_writes_nothing(
+            self, tmp_path, capsys, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence(
+                "ARPACK error -1: No convergence", np.array([]), np.array([]))
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        code, out = run_cli(["pseudospectrum", "--nx", "16", "--ny", "8",
+                             "--mx", "2", "--my", "2", "--dense-cutoff", "0"],
+                            tmp_path)
+        assert code == 3
+        assert capsys.readouterr().err.startswith("numerical failure: ")
         assert not out.exists()
 
     def test_version_and_help_exit_zero(self, capsys):

@@ -265,7 +265,7 @@ class TestSecular:
         expect = [0.5, 1.0, 2.0]
         assert len(roots) == 3
         for r, e in zip(roots, expect):
-            assert abs(r - e) < 1e-12
+            assert abs(r - e) < 1e-15
 
     def test_wide_region_collects_lattice_and_robin_roots(self):
         roots = secular_roots(A_HALF, 0.3, 0.0, (0.05, 5.5, -0.2, 0.2))

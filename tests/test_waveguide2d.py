@@ -277,6 +277,37 @@ class TestPseudospectrum:
         sparse = pseudospectrum_map(op, rect, 3, 3, dense_cutoff=0)
         np.testing.assert_allclose(sparse.sigmas, dense.sigmas, rtol=1e-6)
 
+    def test_sparse_sigma_matches_sine_blocks_on_criterion_10_strip(self):
+        # H = Dx (x) I + I (x) T_y; the sine basis of Dx splits H - lambda
+        # into nx blocks T_y + (mu_j - lambda) I
+        nx, ny, lam = 2000, 24, 0.35 + 0.03j
+        grid = GridSpec(a=A_HALF, Lx=200.0, nx=nx, ny=ny,
+                        x_boundary=XBoundary.DIRICHLET)
+        op = assemble_waveguide(grid, lambda x: 0.5j, lambda x, y: 0.0)
+        hx = grid.hx
+        Ty = op.H[:ny, :ny].toarray() - 2.0 / hx**2 * np.eye(ny)
+        Dx = sp.diags([np.full(nx - 1, -1.0), np.full(nx, 2.0),
+                       np.full(nx - 1, -1.0)], [-1, 0, 1]) / hx**2
+        rebuilt = sp.kron(Dx, sp.identity(ny)) + sp.kron(sp.identity(nx), Ty)
+        assert abs(rebuilt - op.H).max() <= 1e-12 * abs(op.H).max()
+        mu = (2.0 - 2.0 * np.cos(np.arange(1, nx + 1) * math.pi / (nx + 1))) / hx**2
+        blocks = Ty[None] + (mu - lam)[:, None, None] * np.eye(ny)[None]
+        expected = np.linalg.svd(blocks, compute_uv=False)[:, -1].min()
+        pm = pseudospectrum_map(op, (lam.real, lam.real, lam.imag, lam.imag),
+                                1, 1, dense_cutoff=0)
+        assert pm.lambdas[0, 0] == lam
+        assert abs(pm.sigmas[0, 0] - expected) <= 1e-10 * expected
+
+    def test_unconverged_lanczos_raises(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence(
+                "ARPACK error -1: No convergence", np.array([]), np.array([]))
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        op = free_operator(nx=12, ny=10, Lx=4.0)
+        with pytest.raises(NumericalError, match="sigma_min"):
+            pseudospectrum_map(op, (0.2, 0.8, 0.05, 0.3), 2, 2, dense_cutoff=0)
+
     def test_exactly_singular_node_is_flagged(self):
         g = GridSpec(a=1.0, Lx=1.0, nx=8, ny=8)
         H = sp.diags(np.arange(64, dtype=complex)).tocsr()
