@@ -2,19 +2,24 @@
 
 Sets are represented canonically: a sorted tuple of pairwise disjoint,
 non-mergeable intervals with explicit open/closed endpoint flags.  All
-set operations are exact in the endpoint values; no floating tolerance
-is applied unless explicitly requested (``coalesced``), so degenerate
-points, half-open gaps and unbounded rays survive arbitrary algebra.
+set operations are exact in the endpoint values, so degenerate points,
+half-open gaps and unbounded rays survive arbitrary algebra; the only
+floating tolerance is the one ``coalesced`` is given.
 
 Internally every interval is mapped to a half-open segment in "cut"
 coordinates: the cut ``(v, 0)`` sits immediately before the real number
 ``v`` and ``(v, 1)`` immediately after it.  Closed/open bookkeeping then
-reduces to ordinary comparisons of cut tuples.
+reduces to ordinary comparisons of cut tuples, and one sweep over the
+sorted cuts (``_sweep``) builds every result: ``normalize``, ``combine``
+and ``coalesced`` differ only in their operands and the membership
+predicate they keep.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import ValidationError
@@ -79,7 +84,7 @@ class Interval:
 
     # -- queries ---------------------------------------------------------
     def contains(self, x: float) -> bool:
-        if x < self.lower or x > self.upper:
+        if not self.lower <= x <= self.upper:  # also rejects NaN
             return False
         if x == self.lower and not self.lower_closed:
             return False
@@ -134,9 +139,9 @@ class RealLineSet:
         return RealLineSet((Interval(-_INF, _INF, False, False),))
 
     @staticmethod
-    def from_points(points: Iterable[float], tol: float = 0.0) -> "RealLineSet":
-        s = normalize(Interval(p, p, True, True) for p in points)
-        return s.coalesced(tol) if tol > 0.0 else s
+    def from_points(points: Iterable[float]) -> "RealLineSet":
+        """The finite set of ``points``, exact (see ``coalesced`` to fuse)."""
+        return normalize(Interval(p, p, True, True) for p in points)
 
     # -- queries -----------------------------------------------------------
     @property
@@ -181,19 +186,10 @@ class RealLineSet:
         """
         if tol < 0:
             raise ValidationError("coalescing tolerance must be >= 0")
-        if len(self.intervals) < 2:
-            return self
-        merged: list[Interval] = [self.intervals[0]]
-        for cur in self.intervals[1:]:
-            prev = merged[-1]
-            if cur.lower - prev.upper <= tol:
-                merged[-1] = Interval(prev.lower, max(prev.upper, cur.upper),
-                                      prev.lower_closed,
-                                      cur.upper_closed if cur.upper >= prev.upper
-                                      else prev.upper_closed)
-            else:
-                merged.append(cur)
-        return RealLineSet(tuple(merged))
+        ivs = self.intervals
+        gaps = [Interval(prev.upper, cur.lower) for prev, cur in zip(ivs, ivs[1:])
+                if cur.lower - prev.upper <= tol]
+        return normalize(ivs + tuple(gaps))
 
     # -- serialization -------------------------------------------------------
     def to_json_obj(self) -> list[dict]:
@@ -229,89 +225,62 @@ class RealLineSet:
         return normalize(raws)
 
 
+def _sweep(operands: Sequence[Iterable[Interval]], keep) -> RealLineSet:
+    """The canonical set where ``keep`` holds of the operands' memberships.
+
+    Membership is constant between distinct cuts, so ``keep`` is evaluated
+    once per cut; a kept run ends at a cut where ``keep`` is false, so no
+    two emitted intervals touch.
+    """
+    events: list[tuple[_Cut, int, int]] = []
+    for k, ivs in enumerate(operands):
+        for iv in ivs:
+            events.append((iv.start_cut(), k, +1))
+            events.append((iv.end_cut(), k, -1))
+    events.sort(key=itemgetter(0))
+
+    out: list[Interval] = []
+    inside = [0] * len(operands)
+    start: _Cut | None = None
+    for cut, group in groupby(events, key=itemgetter(0)):
+        for _, k, step in group:
+            inside[k] += step
+        if keep(*(c > 0 for c in inside)):
+            if start is None:
+                start = cut
+        elif start is not None:
+            out.append(Interval.from_cuts(start, cut))
+            start = None
+    return RealLineSet(tuple(out))
+
+
 def normalize(raw: Iterable[Interval]) -> RealLineSet:
     """Build the canonical RealLineSet equal to the union of ``raw``.
 
     Overlapping and mergeable-adjacent intervals are fused; ordering of
     the input is irrelevant.  Idempotent on canonical input.
     """
-    items = sorted(raw, key=lambda iv: (iv.start_cut(), iv.end_cut()))
-    out: list[Interval] = []
-    for iv in items:
-        if out and iv.start_cut() <= out[-1].end_cut():
-            prev = out[-1]
-            if iv.end_cut() > prev.end_cut():
-                out[-1] = Interval.from_cuts(prev.start_cut(), iv.end_cut())
-        else:
-            out.append(iv)
-    return RealLineSet(tuple(out))
+    return _sweep([raw], bool)
 
 
 def combine(a: RealLineSet, b: RealLineSet, op: str) -> RealLineSet:
     """Exact union/intersect/subtract of two canonical sets."""
-    try:
-        keep = {"union": lambda x, y: x or y,
-                "intersect": lambda x, y: x and y,
-                "subtract": lambda x, y: x and not y}[op]
-    except KeyError:
-        raise ValidationError(f"unknown set operation {op!r}") from None
-
-    # Sweep over all cuts; membership of each elementary segment between
-    # consecutive cuts is constant, so evaluating the predicate there and
-    # fusing contiguous kept segments yields the exact canonical result.
-    events: list[tuple[_Cut, int, int]] = []
-    for iv in a.intervals:
-        events.append((iv.start_cut(), 0, +1))
-        events.append((iv.end_cut(), 0, -1))
-    for iv in b.intervals:
-        events.append((iv.start_cut(), 1, +1))
-        events.append((iv.end_cut(), 1, -1))
-    events.sort(key=lambda e: e[0])
-
-    out: list[Interval] = []
-    seg_start: _Cut | None = None
-    inside = [0, 0]
-    i = 0
-    while i < len(events):
-        cut = events[i][0]
-        while i < len(events) and events[i][0] == cut:
-            inside[events[i][1]] += events[i][2]
-            i += 1
-        nxt = events[i][0] if i < len(events) else None
-        active = keep(inside[0] > 0, inside[1] > 0)
-        if active and seg_start is None:
-            seg_start = cut
-        elif not active and seg_start is not None:
-            _emit(out, seg_start, cut)
-            seg_start = None
-        if nxt is None and seg_start is not None:
-            _emit(out, seg_start, cut)  # pragma: no cover - cannot occur: coverage ends at last cut
-            seg_start = None
-    return RealLineSet(tuple(out))
+    keep = {"union": lambda x, y: x or y,
+            "intersect": lambda x, y: x and y,
+            "subtract": lambda x, y: x and not y}.get(op)
+    if keep is None:
+        raise ValidationError(f"unknown set operation {op!r}")
+    return _sweep([a.intervals, b.intervals], keep)
 
 
-def _emit(out: list[Interval], start: _Cut, end: _Cut) -> None:
-    iv = Interval.from_cuts(start, end)
-    if out and start <= out[-1].end_cut():
-        out[-1] = Interval.from_cuts(out[-1].start_cut(), end)
-    else:
-        out.append(iv)
-
-
-def minkowski_add_points(points: Iterable[float], s: RealLineSet,
-                         tol: float = 0.0) -> RealLineSet:
+def minkowski_add_points(points: Iterable[float], s: RealLineSet) -> RealLineSet:
     """Minkowski sum {p + x : p in points, x in s} as a canonical set.
 
-    An empty point collection yields the empty set.  ``tol`` optionally
-    fuses components whose gap is at floating-point roundoff scale (see
-    ``RealLineSet.coalesced``).
+    Exact in the shifted endpoints; an empty point collection yields the
+    empty set.  Fuse roundoff-scale gaps with ``RealLineSet.coalesced``.
     """
     pts = [float(p) for p in points]
     for p in pts:
         if math.isnan(p) or math.isinf(p):
             raise ValidationError(f"shift {p} must be finite")
-    raw: list[Interval] = []
-    for p in pts:
-        raw.extend(iv.translate(p) for iv in s.intervals)
-    result = normalize(raw)
-    return result.coalesced(tol) if tol > 0.0 else result
+    return normalize(iv.translate(p) for p in pts for iv in s.intervals)

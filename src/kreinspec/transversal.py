@@ -94,12 +94,16 @@ def exceptional_set(a: float, alpha0: float) -> frozenset:
     Empty unless 2 a |alpha0| / pi is a positive integer (tested to 1e-12
     relative, which is exact for rational inputs in binary floating
     point); then alpha0^2 equals the lattice eigenvalue with label n*.
+    A t so large that the tolerance reaches 1/2 cannot fail the test, so
+    it is never taken as integral.
     """
     if a <= 0:
         raise ValidationError(f"half-width a must be positive, got {a}")
     t = 2.0 * a * abs(alpha0) / math.pi
-    n_star = round(t)
-    if n_star >= 1 and abs(t - n_star) <= 1e-12 * max(1.0, t):
+    if not math.isfinite(t):
+        raise ValidationError(f"2 a |alpha0| / pi = {t} is not finite")
+    n_star, slack = round(t), 1e-12 * max(1.0, t)
+    if n_star >= 1 and slack < 0.5 and abs(t - n_star) <= slack:
         return frozenset({n_star - 1, n_star})
     return frozenset()
 
@@ -201,6 +205,8 @@ def robin_fd(a: float, alpha: complex, n: int, sparse: bool = False):
     if n < 3:
         raise ValidationError(f"need at least 3 grid points, got {n}")
     h = 2.0 * a / (n - 1)
+    if not (0.0 < h * h < math.inf and 2.0 / (h * h) < math.inf):
+        raise ValidationError(f"grid step {h:g} leaves 2/h^2 out of range")
     alpha = complex(alpha)
     main = np.full(n, 2.0, dtype=complex) / h**2
     main[0] = 2.0 / h**2 + 2.0 * alpha.conjugate() / h
@@ -270,7 +276,12 @@ def _winding_number(f, rect, phase_rate: float = 0.0,
     nodes = 0
     for zA, zB in zip(corners[:-1], corners[1:]):
         edge_len = abs(zB - zA)
-        n0 = 8 + int(math.ceil(4.0 * phase_rate * edge_len / math.pi))
+        n0 = 8 + int(math.ceil(min(4.0 * phase_rate * edge_len / math.pi,
+                                   max_nodes)))
+        nodes += n0 + 1
+        if nodes > max_nodes:
+            raise RootCertificationError(
+                f"contour sampling needs over {max_nodes} nodes")
         ts = np.linspace(0.0, 1.0, n0 + 1)
         pts = [zA + t * (zB - zA) for t in ts]
         vals = [f(z) for z in pts]

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
@@ -75,6 +76,10 @@ class GridSpec:
         if self.nx * self.ny > DIM_CAP:
             raise ValidationError(
                 f"grid has {self.nx * self.ny} nodes, over the cap {DIM_CAP}")
+        for name, h in (("hx", self.hx), ("hy", self.hy)):
+            if not (0.0 < h * h < math.inf and 2.0 / (h * h) < math.inf):
+                raise ValidationError(
+                    f"grid step {name} = {h:g} leaves 2/h^2 out of range")
 
     @property
     def hy(self) -> float:
@@ -133,13 +138,18 @@ def assemble_waveguide(grid: GridSpec, alpha: Callable[[float], complex],
     """
     grid.validate()
     x, y = grid.x_nodes(), grid.y_nodes()
-    alpha_samples = np.array([complex(alpha(float(xi))) for xi in x])
-    V_samples = np.array([[complex(V(float(xi), float(yj))) for yj in y]
-                          for xi in x])
-    if not np.all(np.isfinite(alpha_samples.view(float))):
-        raise ValidationError("alpha(x) must be bounded on the grid")
-    if not np.all(np.isfinite(V_samples.view(float))):
-        raise ValidationError("V(x, y) must be bounded on the grid")
+
+    def sample(name, f, *axes):
+        try:
+            s = np.array([complex(f(*map(float, pt))) for pt in product(*axes)])
+        except ArithmeticError:
+            s = None
+        if s is None or not np.all(np.isfinite(s.view(float))):
+            raise ValidationError(f"{name} must be bounded on the grid")
+        return s
+
+    alpha_samples = sample("alpha(x)", alpha, x)
+    V_samples = sample("V(x, y)", V, x, y).reshape(grid.nx, grid.ny)
 
     Dx = _x_second_difference(grid)
     blocks = [robin_fd(grid.a, al, grid.ny, sparse=True)[0]
@@ -208,10 +218,10 @@ def eigs_near(op: WaveguideOperator, target: complex, k: int,
     solves for small problems; every returned pair has relative residual
     <= tol or the call raises.
     """
-    if k < 1:
-        raise ValidationError(f"need k >= 1 eigenvalues, got {k}")
     H = op.H.tocsc()
     n = H.shape[0]
+    if not 1 <= k <= n:
+        raise ValidationError(f"need 1 <= k <= {n} eigenvalues, got {k}")
     scale = _operator_scale(H)
     target = complex(target)
 
@@ -228,7 +238,7 @@ def eigs_near(op: WaveguideOperator, target: complex, k: int,
         S = np.sin(np.outer(np.arange(1, nx + 1), j + 1) * math.pi / (nx + 1))
         vecs = (S / np.linalg.norm(S, axis=0))[:, None, :] * W[None, :, m]
         pairs = _residuals(H, scale, sums[j, m], vecs.reshape(n, k))
-        if any(r > tol for _, r in pairs):
+        if any(not r <= tol for _, r in pairs):
             pairs = None
     if pairs is None and iterative:
         shift = target
@@ -254,7 +264,7 @@ def eigs_near(op: WaveguideOperator, target: complex, k: int,
         pairs = _residuals(H, scale, vals[order], vecs[:, order])
 
     pairs.sort(key=lambda p: abs(p[0] - target))
-    bad = [r for _, r in pairs if r > tol]
+    bad = [r for _, r in pairs if not r <= tol]
     if bad:
         raise NumericalError(
             f"eigenpair residuals up to {max(bad):.2e} exceed {tol}")
@@ -437,7 +447,7 @@ def realness_report(eigs: Sequence, window: Sequence[float],
     vals = []
     for item in eigs:
         lam, res = item
-        if res > 1e-8:
+        if not res <= 1e-8:
             raise ValidationError(
                 f"eigenvalue {lam} carries residual {res:.2e} > 1e-08")
         vals.append(complex(lam))

@@ -394,6 +394,30 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("args, code", [
+        (["spectrum2d", "--nx", "8", "--ny", "8", "--count", "100"], 2),
+        (["spectrum2d", "--nx", "8", "--ny", "8", "--alpha0", "1e300"], 3),
+        (["transversal", "--alpha0", "1e200"], 2),
+        (["transversal", "--a", "1e308", "--alpha0", "1e308"], 2),
+        (["secular", "--a", "1e300"], 3),
+        (["secular", "--re-min", "1e300", "--re-max", "1e301"], 3),
+        (["secular", "--a", "1e300", "--re-max", "1e10"], 3),
+        (["spectrum2d", "--nx", "8", "--ny", "8", "--a", "1e-300"], 2),
+        (["spectrum2d", "--nx", "8", "--ny", "8", "--lx", "1e-300"], 2),
+        (["spectrum2d", "--nx", "8", "--ny", "8", "--bump-width", "1e-300",
+          "--bump-height", "1"], 2),
+    ])
+    def test_extreme_finite_flags_exit_cleanly(self, tmp_path, capsys,
+                                               args, code):
+        got, out = run_cli(args, tmp_path)
+        err = capsys.readouterr().err
+        assert got == code
+        prefix = "error: " if code == 2 else "numerical failure: "
+        assert err.startswith(prefix) and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_unconverged_sigma_min_exits_three_and_writes_nothing(
             self, tmp_path, capsys, monkeypatch):
         def no_convergence(*args, **kwargs):

@@ -84,6 +84,7 @@ class TestIntervalValidation:
         iv = Interval(0.0, 1.0, True, False)
         assert iv.contains(0.0) and iv.contains(0.5)
         assert not iv.contains(1.0) and not iv.contains(-0.1)
+        assert not iv.contains(math.nan) and math.nan not in RealLineSet((iv,))
 
 
 class TestNormalize:

@@ -186,6 +186,14 @@ class TestExceptionalSet:
         with pytest.raises(ValidationError):
             exceptional_set(-1.0, 1.0)
 
+    def test_huge_coupling_is_never_exceptional(self):
+        # at t = 2a|alpha0|/pi >= 5e11 the 1e-12 relative slack reaches 1/2
+        assert exceptional_set(A_HALF, 4e11) == frozenset({4e11 - 1, 4e11})
+        assert exceptional_set(A_HALF, 6e11 + 0.3) == frozenset()
+        assert exceptional_set(A_HALF, 1e200) == frozenset()
+        with pytest.raises(ValidationError):
+            exceptional_set(1e308, 1e308)
+
 
 # ---------------------------------------------------------------------------
 # Finite-difference discretization
@@ -234,6 +242,8 @@ class TestRobinFd:
             robin_fd(0.0, 1j, 11)
         with pytest.raises(ValidationError):
             robin_fd(1.0, 1j, 2)
+        with pytest.raises(ValidationError):
+            robin_fd(1e-300, 1j, 11)  # 2/h^2 overflows
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,8 @@ class TestGridSpec:
         with pytest.raises(ValidationError):
             GridSpec(a=1.0, Lx=-1.0, nx=8, ny=8).validate()
         with pytest.raises(ValidationError):
+            GridSpec(a=1.0, Lx=1e-300, nx=8, ny=8).validate()
+        with pytest.raises(ValidationError):
             GridSpec(a=1.0, Lx=1.0, nx=7, ny=8).validate()
         with pytest.raises(ValidationError):
             GridSpec(a=1.0, Lx=1.0, nx=8, ny=7).validate()
@@ -191,6 +193,42 @@ class TestEigsNear:
         op = free_operator(nx=8, ny=8)
         with pytest.raises(ValidationError):
             eigs_near(op, 0.25, 0)
+        with pytest.raises(ValidationError):
+            eigs_near(op, 0.25, op.dim + 1)
+
+    def test_kronecker_pair_missing_tol_gives_shift_invert_pairs(
+            self, monkeypatch):
+        op = free_operator(nx=50, ny=16, Lx=8.0, boundary=XBoundary.DIRICHLET)
+        factors = waveguide2d._kronecker_factors
+
+        def shifted(op):
+            mu, T_y = factors(op)
+            return mu, T_y + 1e-3 * np.eye(len(T_y))
+
+        monkeypatch.setattr(waveguide2d, "_kronecker_factors", shifted)
+        got = eigs_near(op, 0.8, 4)
+        monkeypatch.setattr(waveguide2d, "_kronecker_factors", lambda op: None)
+        assert got == eigs_near(op, 0.8, 4)
+
+    def test_arpack_failure_retries_at_next_shift(self, monkeypatch):
+        op = free_operator(nx=50, ny=16, Lx=8.0)
+        want = eigs_near(op, 0.8, 3)
+        eigs, shifts = scipy.sparse.linalg.eigs, []
+
+        def fails_once(*args, **kwargs):
+            shifts.append(kwargs["sigma"])
+            if len(shifts) == 1:
+                raise scipy.sparse.linalg.ArpackNoConvergence(
+                    "ARPACK error -1: No convergence", np.array([]),
+                    np.array([]))
+            return eigs(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", fails_once)
+        got = eigs_near(op, 0.8, 3)
+        assert len(shifts) == 2 and shifts[1] != shifts[0]
+        scale = abs(op.H).max()
+        for (lam, res), (lam0, _) in zip(got, want, strict=True):
+            assert res <= 1e-8 and abs(lam - lam0) <= 1e-8 * scale
 
 
 def no_shift_invert(*args, **kwargs):
