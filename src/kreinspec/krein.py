@@ -5,8 +5,11 @@ inner product into the indefinite product [f, g] = (Jf, g).  A matrix T
 with T = J T* J is J-self-adjoint; each of its eigenvalue clusters is
 classified as positive type, negative type, or not definite by the sign
 pattern of the indefinite Gram matrix on the root subspace, read from one
-reordered complex Schur form per matrix (LAPACK ztrsen, whose estimates
-``s`` and ``sep`` certify it); Riesz projections are the independent check.
+complex Schur form per matrix that LAPACK ztrsen reorders per cluster.
+LAPACK's condition estimates ``s`` and ``sep`` of the reordering certify
+each cluster; they are computed here by triangular solves (ztrtrs) in
+place of ztrsen's Sylvester solver.  Riesz projections are the
+independent check.
 
 Classification runs on the root subspace, not just the eigenspace, so a
 Jordan block at a real eigenvalue is reported as not definite even
@@ -115,8 +118,9 @@ def j_self_adjoint_defect(T, J) -> float:
 class SpectrumEntry:
     """One classified eigenvalue cluster.
 
-    ``s`` and ``sep`` are the Schur reordering's condition estimates (of
-    the cluster's mean eigenvalue and of its root subspace), if measured.
+    ``s`` and ``sep`` are LAPACK ztrsen's condition estimates for the
+    reordered Schur form (of the cluster's mean eigenvalue and of its
+    root subspace), computed by triangular solves, if measured.
     """
 
     lam: complex
@@ -212,6 +216,94 @@ def _cluster_eigenvalues(eigvals: np.ndarray, gap: float) -> list[np.ndarray]:
     return sorted(groups, key=lambda g: g[0])
 
 
+def _one_norm_estimate(apply, size: int) -> float:
+    """LAPACK zlacn2 (Higham 1988): a lower bound on the one-norm of the
+    linear map ``apply(x, False)``, whose adjoint is ``apply(x, True)``.
+
+    The steps, tests and vectors are zlacn2's, so the estimate is
+    LAPACK's.  An ``OverflowError`` from ``apply`` ends it with ``inf``.
+    """
+    def signs(y):
+        a = np.abs(y)
+        big = a > np.finfo(float).tiny
+        out = np.ones(size, dtype=complex)
+        out.real[big] = y.real[big] / a[big]
+        out.imag[big] = y.imag[big] / a[big]
+        return out
+
+    try:
+        v = apply(np.full(size, 1.0 / size, dtype=complex), False)
+        est = float(np.sum(np.abs(v)))
+        if size == 1:
+            return est
+        j = int(np.argmax(np.abs(apply(signs(v), True))))
+        for _ in range(4):
+            v = apply(np.eye(1, size, j, dtype=complex)[0], False)
+            est, old = float(np.sum(np.abs(v))), est
+            if est <= old:
+                break
+            y = np.abs(apply(signs(v), True))
+            j, last = int(np.argmax(y)), j
+            if y[last] == y[j]:
+                break
+        alt = (1.0 + np.arange(size) / (size - 1)) * (-1.0) ** np.arange(size)
+        v = apply(alt.astype(complex), False)
+    except OverflowError:
+        return math.inf
+    return max(est, 2.0 * (float(np.sum(np.abs(v))) / (3 * size)))
+
+
+def _condition(R, m: int) -> tuple[float, float]:
+    """ztrsen's ``s`` and ``sep`` for the leading m-by-m block of Schur R.
+
+    With R = [[R11, R12], [0, R22]], X solves R11 X - X R22 = R12 one row
+    at a time (row i is a triangular solve with R11[i, i] I - R22), so
+    s = 1/sqrt(1 + ||X||_F^2); sep is one over zlacn2's estimate of the
+    one-norm of the inverse Sylvester map, applied the same way.  Where
+    a solve is not finite (ztrsyl would rescale) the estimate reads 0.
+    """
+    n = R.shape[0]
+    if m == n:
+        return 1.0, float(np.max(np.sum(np.abs(R), axis=0)))
+    R11, R12 = R[:m, :m], R[:m, m:]
+    # R22 - R11[i, i] I, one row's shift at a time on a copy of R22; the
+    # solves below take the negated equations
+    shifted = R[m:, m:].copy(order="F")
+    diag22 = np.diag(shifted).copy()
+    diagonal = shifted.ravel(order="F")[::n - m + 1]
+
+    def solve(C, adjoint):
+        """X with R11 X - X R22 = C, or the adjoint map's solution."""
+        X = np.empty_like(C)
+        for i in (range(m) if adjoint else range(m - 1, -1, -1)):
+            diagonal[:] = diag22 - R11[i, i]
+            if adjoint:
+                rhs = (C[i] - R11[:i, i].conj() @ X[:i]).conj()
+            else:
+                rhs = C[i] - R11[i, i + 1:] @ X[i + 1:]
+            x, info = scipy.linalg.lapack.ztrtrs(shifted, rhs[:, None],
+                                                 trans=0 if adjoint else 1)
+            if info:
+                raise OverflowError
+            X[i] = -x[:, 0].conj() if adjoint else -x[:, 0]
+        if not np.all(np.isfinite(X)):
+            raise OverflowError
+        return X
+
+    def apply(x, adjoint):
+        return solve(x.reshape(m, n - m, order="F"), adjoint).ravel(order="F")
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            rnorm = float(scipy.linalg.blas.dznrm2(solve(R12, False).ravel()))
+        except OverflowError:
+            rnorm = math.inf
+        s = 1.0 if rnorm == 0.0 else 1.0 / (math.sqrt(1.0 / rnorm + rnorm)
+                                             * math.sqrt(rnorm))
+        sep = 1.0 / _one_norm_estimate(apply, m * (n - m))
+    return s, sep
+
+
 def _root_entry(R, Z, Jm, eigvals, idx, scale, tol):
     """Classify the cluster ``eigvals[idx]`` of T = Z R Z*.
 
@@ -239,12 +331,11 @@ def _root_entry(R, Z, Jm, eigvals, idx, scale, tol):
         raise NumericalError(
             f"Schur form holds {np.count_nonzero(select)} eigenvalues of the "
             f"{m}-fold cluster at {center:.6g}")
-    # the default lwork is too small for job="B", which needs 2 m (n - m)
-    R, Z, _, _, s, sep, info = scipy.linalg.lapack.ztrsen(
-        select, R, Z, job="B", lwork=max(1, n * n))
+    R, Z, _, _, _, _, info = scipy.linalg.lapack.ztrsen(select, R, Z, job="N")
     if info:
         raise NumericalError(f"Schur reordering failed for the cluster at "
                              f"{center:.6g} (info {info})")
+    s, sep = _condition(R, m)
     # 1/s is the norm of the spectral projector, 1/sep how far the root
     # subspace turns per unit perturbation of T: at the contour path's
     # idempotency tolerance the subspace is not determined (a Jordan pair

@@ -135,8 +135,8 @@ def transversal_modes(a: float, alpha0: float, N: int) -> list[TransversalMode]:
         below = math.floor(2.0 * a * abs(alpha0) / math.pi)
         if N < below:
             raise ValidationError(
-                f"label-0 eigenvalue sits above {below} lattice modes; "
-                f"need N >= {below}, got N = {N}")
+                f"label-0 eigenvalue sits above {below:.6g} lattice modes; "
+                f"need N >= {below:.6g}, got N = {N}")
 
     raw = [(lam0, 0)] + [(lam, n) for n, lam in enumerate(lattice, start=1)]
     raw.sort(key=lambda p: (p[0], p[1] != 0, p[1]))

@@ -171,9 +171,11 @@ def assemble_waveguide(grid: GridSpec, alpha: Callable[[float], complex],
 # ---------------------------------------------------------------------------
 
 def _operator_scale(H) -> float:
-    absH = abs(H)
-    one = absH.sum(axis=0).max()
-    inf = absH.sum(axis=1).max()
+    # an overflowing stencil reads inf or NaN here; the residual gates reject it
+    with np.errstate(over="ignore", invalid="ignore"):
+        absH = abs(H)
+        one = absH.sum(axis=0).max()
+        inf = absH.sum(axis=1).max()
     return float(math.sqrt(float(one) * float(inf)))
 
 
@@ -199,10 +201,13 @@ def _kronecker_factors(op: WaveguideOperator):
 
 
 def _residuals(H, scale, vals, vecs):
+    """(eigenvalue, relative residual) pairs; NaN where they overflow, which
+    every ``not r <= tol`` gate rejects."""
     out = []
-    for lam, v in zip(vals, vecs.T):
-        r = np.linalg.norm(H @ v - lam * v) / (scale * np.linalg.norm(v))
-        out.append((complex(lam), float(r)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lam, v in zip(vals, vecs.T):
+            r = np.linalg.norm(H @ v - lam * v) / (scale * np.linalg.norm(v))
+            out.append((complex(lam), float(r)))
     return out
 
 

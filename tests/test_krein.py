@@ -692,3 +692,85 @@ class TestQueryClusterSelection:
         assert abs(p - 2.0) == abs(p - 0.5 - d)
         got = self.selected(monkeypatch, T, np.eye(4), eigvals, [p])
         assert got == self.scan(T, eigvals, [p]) == [(0, 3)]
+
+
+ZTRSEN = scipy.linalg.lapack.ztrsen
+
+
+def ztrsen_b(select, R, Z):
+    """LAPACK's own reorder with its s and sep (job B, which needs the
+    larger workspace 2 m (n - m))."""
+    n = R.shape[0]
+    R, Z, _, _, s, sep, info = ZTRSEN(select, R, Z, job="B",
+                                      lwork=max(1, n * n))
+    assert info == 0
+    return R, Z, s, sep
+
+
+class TestConditionAgainstZtrsen:
+    """``_condition`` computes ztrsen's s and sep with triangular solves;
+    LAPACK's ztrsen(job="B"), which gets them from ztrsyl, is the reference."""
+
+    @staticmethod
+    def close(a, b):
+        return abs(a - b) <= 1e-12 * abs(b)
+
+    @pytest.mark.parametrize("n", [2, 5, 30, 144])
+    def test_every_contiguous_selection(self, n):
+        rng = np.random.default_rng(n)
+        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        R0, Z0 = scipy.linalg.schur(A, output="complex")
+        selections = [np.ones(n, dtype=bool)]
+        for m in (1, 2, 3):
+            for k in range(n - m + 1):
+                select = np.zeros(n, dtype=bool)
+                select[k:k + m] = True
+                selections.append(select)
+        for select in selections:
+            R, Z, s, sep = ztrsen_b(select, R0, Z0)
+            Rn, Zn, _, _, _, _, info = ZTRSEN(select, R0, Z0, job="N")
+            assert info == 0
+            assert np.array_equal(R, Rn) and np.array_equal(Z, Zn)
+            got_s, got_sep = krein._condition(Rn, int(select.sum()))
+            assert self.close(got_s, s) and self.close(got_sep, sep)
+
+    @pytest.mark.parametrize("case", ["campaign", "robin"])
+    def test_engine_matches_job_b(self, monkeypatch, case):
+        if case == "campaign":
+            f1, f2 = _campaign_instance(np.random.default_rng(4), "big")
+            T, J = kron_sum(f1, f2)
+            assert T.shape == (144, 144)
+        else:
+            T, J = robin_fd(A_STRIP, 0.7j, 121)
+        got = classify_spectrum(T, J)
+
+        # the reference reorders with job B and reports its s and sep
+        measured = []
+
+        def reorder_b(select, R, Z, job):
+            assert job == "N"
+            R, Z, s, sep = ztrsen_b(select, R, Z)
+            measured.append((s, sep))
+            return R, Z, None, None, None, None, 0
+
+        monkeypatch.setattr(scipy.linalg.lapack, "ztrsen", reorder_b)
+        monkeypatch.setattr(krein, "_condition", lambda R, m: measured[-1])
+        want = classify_spectrum(T, J)
+        assert len(got) == len(want) == len(measured)
+        for a, b in zip(got, want):
+            assert a.lam == b.lam and a.type is b.type
+            assert (a.alg_mult, a.geo_mult) == (b.alg_mult, b.geo_mult)
+            assert np.array_equal(a.gram_eigs, b.gram_eigs)
+            assert self.close(a.s, b.s) and self.close(a.sep, b.sep)
+
+    def test_overflowing_solve_raises_numerical_error(self):
+        # X, the first row of (1e-7 I - N)^-1 for the 49 x 49 shift N,
+        # holds 1e7^(k + 1) in column k: past the largest double from
+        # k = 44, where ztrsyl would rescale
+        n = 50
+        T = np.diag(np.ones(n - 1), 1).astype(complex)
+        T[0, 0] = 1e-7
+        assert krein._condition(T, 1) == (0.0, 0.0)
+        assert ztrsen_b(np.eye(1, n, 0, dtype=bool)[0], T, np.eye(n))[2:] == (0.0, 0.0)
+        with pytest.raises(NumericalError, match="ill-conditioned"):
+            classify_point(T, np.eye(n), 1e-7, eigvals=np.diag(T))
