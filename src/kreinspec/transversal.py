@@ -29,7 +29,6 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 import scipy.sparse
 
 from .errors import (NumericalError, RootCertificationError, ValidationError)
@@ -160,10 +159,10 @@ def transversal_modes(a: float, alpha0: float, N: int) -> list[TransversalMode]:
                     f"indicator sign of mode {n} contradicts its mu parity")
         mode = TransversalMode(n=n, mu_index=mu_index, lam=lam,
                                psi_coeffs=(A, B), indicator=ind, type=t)
-        res = _boundary_residual(mode, a, alpha0)
+        res = _boundary_residual(mode, a, alpha0) / max(1.0, abs(alpha0), k)
         if res > 1e-10:
-            raise NumericalError(
-                f"mode {n} violates the boundary conditions (residual {res:.2e})")
+            raise NumericalError(f"mode {n} violates the boundary conditions "
+                                 f"(relative residual {res:.2e})")
         modes.append(mode)
     return modes
 
@@ -198,7 +197,8 @@ def robin_fd(a: float, alpha: complex, n: int, sparse: bool = False):
     half-weight endpoint scaling; the scaling is a similarity (it keeps
     every eigenvalue of the plain scheme) and makes the reversal symmetry
     exact: with J the index-reversing permutation, J T* J == T holds to
-    the last bit for any complex alpha.
+    the last bit for any complex alpha.  ``sparse=True`` builds both as
+    ``csr_matrix`` from their CSR arrays, T without an entry alpha zeroes.
     """
     if a <= 0:
         raise ValidationError(f"half-width a must be positive, got {a}")
@@ -215,9 +215,15 @@ def robin_fd(a: float, alpha: complex, n: int, sparse: bool = False):
     off[0] = -math.sqrt(2.0) / h**2
     off[-1] = -math.sqrt(2.0) / h**2
     if sparse:
-        T = scipy.sparse.diags([off, main, off], [-1, 0, 1], format="csr")
-        J = scipy.sparse.csr_matrix(
-            (np.ones(n), (np.arange(n), np.arange(n)[::-1])), shape=(n, n))
+        data = np.empty((n, 3), dtype=complex)
+        data[1:, 0], data[:, 1], data[:-1, 2] = off, main, off
+        idx = np.arange(n + 1, dtype=np.int32)
+        cols = idx[:-1, None] + idx[:3] - 1  # row i holds i-1, i, i+1
+        indptr = (3 * idx - 1).clip(0, 3 * n - 2)  # 0, 2, 5, ..., 3n-2
+        T = scipy.sparse.csr_matrix(
+            (data.ravel()[1:-1], cols.ravel()[1:-1], indptr), shape=(n, n))
+        T.eliminate_zeros()  # an endpoint entry the coupling cancels
+        J = scipy.sparse.csr_matrix((np.ones(n), n - 1 - idx[:-1], idx), shape=(n, n))
         return T, J
     T = np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
     return T, np.eye(n)[::-1].copy()
@@ -561,9 +567,23 @@ def _square_well_levels(depth: float, width: float) -> list[float]:
             if vlo == 0.0:
                 levels.append(lo * lo - depth)
             elif vlo * vhi < 0:
-                q = scipy.optimize.bisect(g, lo, hi, xtol=1e-14)
+                q = _bisect(g, lo, hi, vlo)
                 levels.append(q * q - depth)
     return sorted(levels)
+
+
+def _bisect(f, xa: float, xb: float, fa: float) -> float:
+    """scipy.optimize.bisect's loop at xtol 1e-14: its root to the last bit."""
+    dm, rtol = xb - xa, 4 * np.finfo(float).eps
+    for _ in range(100):
+        dm *= 0.5
+        xm = xa + dm
+        fm = f(xm)
+        if fm * fa >= 0:
+            xa = xm
+        if fm == 0 or abs(dm) < 1e-14 + rtol * abs(xm):
+            return float(xm)
+    raise NumericalError("bisection did not converge in 100 steps")
 
 
 def longitudinal_spectrum(spec) -> tuple[RealLineSet, tuple]:

@@ -134,7 +134,9 @@ def assemble_waveguide(grid: GridSpec, alpha: Callable[[float], complex],
     The top wall carries alpha(x), the bottom wall conj(alpha(x)); both
     enter through the ghost-node closure of the 1D transversal stencil,
     so for wall-conjugation-symmetric V the assembled matrix satisfies
-    J H* J = H exactly (J the y-reversal permutation).
+    J H* J = H exactly (J the y-reversal permutation).  Column k's CSR
+    stencil from ``robin_fd`` is placed directly as the k-th diagonal
+    block (indices shifted by k*ny) of one CSR matrix.
     """
     grid.validate()
     x, y = grid.x_nodes(), grid.y_nodes()
@@ -152,15 +154,17 @@ def assemble_waveguide(grid: GridSpec, alpha: Callable[[float], complex],
     V_samples = sample("V(x, y)", V, x, y).reshape(grid.nx, grid.ny)
 
     Dx = _x_second_difference(grid)
-    blocks = [robin_fd(grid.a, al, grid.ny, sparse=True)[0]
-              for al in alpha_samples]
+    T0, flip = robin_fd(grid.a, alpha_samples[0], grid.ny, sparse=True)
+    blocks = [T0] + [robin_fd(grid.a, al, grid.ny, sparse=True)[0]
+                     for al in alpha_samples[1:]]
+    stack = scipy.sparse.csr_matrix(
+        (np.concatenate([T.data for T in blocks]),
+         np.concatenate([T.indices + k * grid.ny for k, T in enumerate(blocks)]),
+         np.concatenate([[0]] + [np.diff(T.indptr) for T in blocks]).cumsum()),
+        shape=(grid.nx * grid.ny,) * 2)
     H = (scipy.sparse.kron(Dx, scipy.sparse.identity(grid.ny), format="csr")
-         + scipy.sparse.block_diag(blocks, format="csr")
-         + scipy.sparse.diags(V_samples.ravel()))
+         + stack + scipy.sparse.diags(V_samples.ravel()))
 
-    flip = scipy.sparse.csr_matrix(
-        (np.ones(grid.ny), (np.arange(grid.ny), np.arange(grid.ny)[::-1])),
-        shape=(grid.ny, grid.ny))
     Jm = scipy.sparse.kron(scipy.sparse.identity(grid.nx), flip, format="csr")
     return WaveguideOperator(grid=grid, H=H.tocsr(), J=validate_involution(Jm),
                              alpha_samples=alpha_samples, V_samples=V_samples)

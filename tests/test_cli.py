@@ -418,6 +418,14 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_large_coupling_passes_the_relative_boundary_gate(
+            self, tmp_path, capsys):
+        # the absolute residual of these exact modes is about 2e-10
+        code, out = run_cli(["transversal", "--alpha0", "700"], tmp_path)
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert (out / "transversal.csv").is_file()
+
     def test_unconverged_sigma_min_exits_three_and_writes_nothing(
             self, tmp_path, capsys, monkeypatch):
         def no_convergence(*args, **kwargs):

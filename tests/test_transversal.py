@@ -1,10 +1,13 @@
 """Tests for the transversal Robin operator module."""
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 import scipy.sparse.linalg
 
 from kreinspec import (
@@ -34,7 +37,7 @@ from kreinspec.transversal import (
     waveguide_m_sets,
 )
 from kreinspec import transversal
-from kreinspec.transversal import (_make_secular, _newton_refine,
+from kreinspec.transversal import (_bisect, _make_secular, _newton_refine,
                                    _winding_number)
 
 A_HALF = math.pi / 2
@@ -159,6 +162,20 @@ class TestTransversalModes:
             # label-0 eigenvalue 12.25 sits above lattice modes 1..3
             transversal_modes(A_HALF, 3.5, 2)
 
+    def test_boundary_gate_is_relative_to_the_coupling(self, monkeypatch):
+        # the absolute residual reaches 2e-10 at alpha0 = 700 on exact modes
+        modes = transversal_modes(A_HALF, 700.0, 720)
+        assert len(modes) == 721 and modes[700].type is SpectralType.NOT_DEFINITE
+        real = transversal.TransversalMode
+
+        def perturbed(**fields):
+            A, B = fields["psi_coeffs"]
+            return real(**{**fields, "psi_coeffs": (A, B * (1 + 1e-8))})
+
+        monkeypatch.setattr(transversal, "TransversalMode", perturbed)
+        with pytest.raises(NumericalError, match="boundary conditions"):
+            transversal_modes(A_HALF, 700.0, 720)
+
     def test_truncation_at_the_label0_position_is_allowed(self):
         # floor(t) = 3 lattice modes below lambda_0 = 12.25; N = 3 puts the
         # label-0 mode last and keeps every mu index correct
@@ -208,11 +225,37 @@ class TestRobinFd:
             assert np.abs(J @ T.conj().T @ J - T).max() == 0.0
             assert np.abs(J @ J - np.eye(31)).max() == 0.0
 
+    @staticmethod
+    def cases():
+        # a = 1 and n = 3, 5, 33 give steps h = 2^-k, where alpha = -1/h
+        # cancels both endpoint entries exactly; -1/h + 0.3j cancels neither
+        for n in (3, 5, 25, 33, 48):
+            h = 2.0 / (n - 1)
+            for alpha in (0.0, 0.3 + 0.7j, -0.05 + 1j, -1 / h, -1 / h + 0.3j):
+                yield n, alpha
+
     def test_sparse_matches_dense(self):
-        T, J = robin_fd(1.1, 0.3 + 0.7j, 25)
-        Ts, Js = robin_fd(1.1, 0.3 + 0.7j, 25, sparse=True)
-        np.testing.assert_array_equal(Ts.toarray(), T)
-        np.testing.assert_array_equal(Js.toarray(), J)
+        for n, alpha in self.cases():
+            T, J = robin_fd(1.0, alpha, n)
+            Ts, Js = robin_fd(1.0, alpha, n, sparse=True)
+            assert type(Ts) is type(Js) is sp.csr_matrix
+            np.testing.assert_array_equal(Ts.toarray(), T)
+            np.testing.assert_array_equal(Js.toarray(), J)
+
+    def test_sparse_arrays_match_the_diags_construction(self):
+        # the scipy.sparse.diags route the direct CSR build replaced
+        for n, alpha in self.cases():
+            T, _ = robin_fd(1.0, alpha, n)
+            T_ref = sp.diags([np.diag(T, -1), np.diag(T), np.diag(T, 1)],
+                             [-1, 0, 1], format="csr")
+            J_ref = sp.csr_matrix(
+                (np.ones(n), (np.arange(n), np.arange(n)[::-1])), shape=(n, n))
+            for got, want in zip(robin_fd(1.0, alpha, n, sparse=True),
+                                 (T_ref, J_ref)):
+                for field in ("indptr", "indices", "data"):
+                    g, w = getattr(got, field), getattr(want, field)
+                    assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        assert robin_fd(1.0, -16.0, 33, sparse=True)[0].nnz == 3 * 33 - 4
 
     def test_second_order_convergence_to_closed_form(self):
         exact = [m.lam for m in transversal_modes(A_HALF, 0.5, 3)]
@@ -558,6 +601,32 @@ class TestLongitudinal:
     def test_unknown_descriptor(self):
         with pytest.raises(ValidationError):
             longitudinal_spectrum(object())
+
+    def test_square_well_bisection_matches_scipy_bitwise(self, monkeypatch):
+        import scipy.optimize
+        rng = np.random.default_rng(29)
+        draws = [(rng.uniform(0.05, 40.0), rng.uniform(0.05, 5.0))
+                 for _ in range(12)]
+        ours = [transversal._square_well_levels(d, w) for d, w in draws]
+        monkeypatch.setattr(
+            transversal, "_bisect", lambda f, lo, hi, flo:
+            scipy.optimize.bisect(f, lo, hi, xtol=1e-14))
+        theirs = [transversal._square_well_levels(d, w) for d, w in draws]
+        assert sum(map(len, ours)) > 30
+        assert all(type(q) is float for levels in ours for q in levels)
+        assert ours == theirs
+
+    def test_bisection_cap_raises(self):
+        assert _bisect(lambda x: x - 0.3, 0.0, 1.0, -0.3) == pytest.approx(0.3)
+        # halving 1e30 down to the 1e-14 tolerance takes over 100 steps
+        with pytest.raises(NumericalError, match="did not converge"):
+            _bisect(lambda x: x - 0.3, 0.0, 1e30, -0.3)
+
+    def test_import_leaves_scipy_optimize_out(self):
+        code = "import sys, kreinspec; print('scipy.optimize' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,36 @@ class TestAssembly:
         scale = abs(op.H).max()
         assert abs(op.H - Hfold.tocsr()).max() <= 1e-14 * scale
 
+    @pytest.mark.parametrize("boundary", list(XBoundary))
+    @pytest.mark.parametrize("nx, ny", [(8, 9), (14, 17)])
+    @pytest.mark.parametrize("coupling", ["constant", "bump", "zero", "endpoint"])
+    def test_csr_arrays_match_diags_and_block_diag(self, boundary, nx, ny,
+                                                   coupling):
+        g = GridSpec(a=1.0, Lx=5.0, nx=nx, ny=ny, x_boundary=boundary)
+        h = 2.0 / (ny - 1)  # a power of two, so -1/h cancels exactly
+        alpha = {"constant": lambda x: 0.5j,
+                 "bump": lambda x: -0.05 + 1j * (1 + 0.3 * math.exp(-x * x)),
+                 "zero": lambda x: 0.0,
+                 "endpoint": lambda x: -1 / h if x < 0 else 0.7j}[coupling]
+        op = assemble_waveguide(g, alpha,
+                                lambda x, y: 0.1 * x * x + 1j * math.sin(y))
+        # the construction the stacked direct-CSR stencils replaced
+        blocks = []
+        for al in op.alpha_samples:
+            T, _ = robin_fd(g.a, al, ny)
+            blocks.append(sp.diags([np.diag(T, -1), np.diag(T), np.diag(T, 1)],
+                                   [-1, 0, 1], format="csr"))
+        H = (sp.kron(waveguide2d._x_second_difference(g), sp.identity(ny),
+                     format="csr")
+             + sp.block_diag(blocks, format="csr")
+             + sp.diags(op.V_samples.ravel())).tocsr()
+        assert type(op.H) is type(H)
+        for field in ("indptr", "indices", "data"):
+            got, want = getattr(op.H, field), getattr(H, field)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        if coupling == "endpoint":
+            assert min(b.nnz for b in blocks) == 3 * ny - 4
+
     def test_pt_defect_exactly_zero_for_constant_coupling(self):
         op = free_operator()
         assert j_self_adjoint_defect(op.H, op.J) == 0.0
