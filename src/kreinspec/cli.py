@@ -7,11 +7,12 @@ plus plot-ready CSV emitters.  Outputs are deterministic for a fixed
 (config, seed), carry a sha256 of the resolved configuration in their
 headers, and are written atomically (temp file + rename).
 
-Exit codes: 0 success, 2 validation/usage failure, 3 numerical failure.
+Exit codes: 0 success, 2 validation/usage/write failure, 3 numerical failure.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -76,17 +77,19 @@ def _fmt(x: float) -> str:
 
 
 def _atomic_write(path: Path, text: str) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent),
-                               prefix=path.name + ".", suffix=".tmp")
+    tmp = None
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=str(path.parent),
+                                   prefix=path.name + ".", suffix=".tmp")
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
     return path
 
 
@@ -170,6 +173,15 @@ def _path(value, flag: str) -> str:
 
 
 _path.argparse = {"type": str}
+
+
+def _name(value, flag: str) -> str:
+    if os.path.isabs(_path(value, flag)) or ".." in Path(value).parts:
+        raise ValidationError(f"{flag} must stay inside --output-dir, got {value!r}")
+    return value
+
+
+_name.argparse = _path.argparse
 
 
 def _regions(value, flag: str) -> list:
@@ -432,7 +444,7 @@ COMMANDS = {
         "a": (math.pi / 2, _positive_real),
         "alpha0": (0.5, _real),
         "modes": (10, _num(int, 1)),
-        "out": ("transversal.csv", _path),
+        "out": ("transversal.csv", _name),
     }),
     "msets": (cmd_msets, "typed decomposition of the spectrum", {
         "a": (math.pi / 2, _positive_real),
@@ -443,7 +455,7 @@ COMMANDS = {
         "well_width": (2.0, _positive_real),
         "window_max": (25.0, _real),
         "n_modes": (None, _num(int, 1, optional=True)),
-        "out": ("msets.json", _path),
+        "out": ("msets.json", _name),
     }),
     "secular": (cmd_secular, "certified roots of the secular function", {
         "a": (math.pi / 2, _positive_real),
@@ -451,17 +463,17 @@ COMMANDS = {
         "beta0": (-0.05, _real),
         **_rect_rows(0.7, 1.3, -0.4, 0.4),
         "tol": (1e-12, _positive_real),
-        "out": ("secular_roots.csv", _path),
+        "out": ("secular_roots.csv", _name),
     }),
     "branches": (cmd_branches, "track secular roots over beta0", {
         **_BRANCHES,
-        "out_prefix": ("branch", _path),
+        "out_prefix": ("branch", _name),
     }),
     "tensor-check": (cmd_tensor_check,
                      "randomized Kronecker-sum prediction campaign", {
         "instances": (200, _num(int, 1)),
         "dim_cap": (4096, _num(int, 1)),
-        "out": ("campaign.json", _path),
+        "out": ("campaign.json", _name),
     }),
     "spectrum2d": (cmd_spectrum2d, "strip eigenvalues near a target", {
         **_GRID,
@@ -471,8 +483,8 @@ COMMANDS = {
         "window_lo": (None, _num(optional=True)),
         "window_hi": (None, _num(optional=True)),
         "imag_tol": (1e-7, _real),
-        "out": ("spectrum2d.csv", _path),
-        "report_out": ("realness.json", _path),
+        "out": ("spectrum2d.csv", _name),
+        "report_out": ("realness.json", _name),
     }),
     "pseudospectrum": (cmd_pseudospectrum,
                        "sigma_min sweep over a rectangle", {
@@ -485,8 +497,8 @@ COMMANDS = {
         "fit_window_hi": (None, _num(optional=True)),
         "fit_band_lo": (0.03, _real),
         "fit_band_hi": (0.12, _real),
-        "out": ("pseudospectrum.csv", _path),
-        "fit_out": ("fit.json", _path),
+        "out": ("pseudospectrum.csv", _name),
+        "fit_out": ("fit.json", _name),
     }),
     "figures": (cmd_figures, "plot-ready CSV data sets", {
         "which": (None, _choice("fig1", "fig2", "fig3", required=True)),
@@ -508,6 +520,7 @@ _HELP = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kreinspec",
@@ -568,9 +581,8 @@ def resolve_config(args: argparse.Namespace) -> tuple[RunConfig, dict]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

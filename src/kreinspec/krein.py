@@ -205,12 +205,24 @@ def riesz_projection(T: np.ndarray, center: complex, radius: float,
 def _cluster_eigenvalues(eigvals: np.ndarray, gap: float) -> list[np.ndarray]:
     """Partition eigenvalues into transitive proximity clusters (indices).
 
-    Links are distances <= ``gap``; groups are ordered by lowest index."""
+    Links are distances ``abs(e[a] - e[b]) <= gap``, tested on the pairs
+    that a sweep over the sorted real parts finds within ``gap`` plus a few
+    ulps (so rounding in ``re + gap`` loses no tie); groups are ordered by
+    lowest index."""
     e = np.asarray(eigvals)
-    if e.size == 0:
-        return []
-    close = scipy.sparse.csr_array(np.abs(e[:, None] - e[None, :]) <= gap)
-    _, labels = scipy.sparse.csgraph.connected_components(close, directed=False)
+    n = e.size
+    by_re = np.argsort(e.real, kind="stable")
+    re = e.real[by_re]
+    hi = np.searchsorted(re, re + gap + 4 * np.spacing(np.abs(re) + gap), "right")
+    counts = np.maximum(hi - np.arange(n) - 1, 0)
+    a = np.repeat(np.arange(n), counts)
+    b = a + 1 + np.arange(a.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    link = np.abs(e[by_re[a]] - e[by_re[b]]) <= gap
+    if not link.any():
+        return list(np.arange(n)[:, None])
+    a, b = by_re[a[link]], by_re[b[link]]
+    graph = scipy.sparse.csr_array((np.ones(a.size), (a, b)), shape=(n, n))
+    _, labels = scipy.sparse.csgraph.connected_components(graph, directed=False)
     order = np.argsort(labels, kind="stable")
     groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
     return sorted(groups, key=lambda g: g[0])

@@ -139,11 +139,11 @@ def assemble_waveguide(grid: GridSpec, alpha: Callable[[float], complex],
     block (indices shifted by k*ny) of one CSR matrix.
     """
     grid.validate()
-    x, y = grid.x_nodes(), grid.y_nodes()
+    x, y = grid.x_nodes().tolist(), grid.y_nodes().tolist()
 
     def sample(name, f, *axes):
         try:
-            s = np.array([complex(f(*map(float, pt))) for pt in product(*axes)])
+            s = np.array([complex(f(*pt)) for pt in product(*axes)])
         except ArithmeticError:
             s = None
         if s is None or not np.all(np.isfinite(s.view(float))):

@@ -274,6 +274,25 @@ class TestDeterminism:
             _, out_b = run_cli(args, tmp_path, sub="b" + name)
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_reused_parser_writes_what_fresh_processes_write(self, tmp_path,
+                                                            capsys):
+        runs = ((["transversal", "--alpha0", "0.37"], "transversal.csv"),
+                (["secular"], "secular_roots.csv"))
+        assert main(["transversal", "--modes", "ten"]) == 2
+        assert "invalid int value" in capsys.readouterr().err
+        for args, name in runs:
+            assert run_cli(args, tmp_path, sub="reused")[0] == 0
+            fresh = tmp_path / ("fresh_" + name)
+            proc = subprocess.run(
+                [sys.executable, "-m", "kreinspec", *args, "--output-dir",
+                 str(fresh)], capture_output=True, text=True)
+            assert proc.returncode == 0
+            assert ((tmp_path / "reused" / name).read_bytes()
+                    == (fresh / name).read_bytes())
+
     def test_seed_changes_campaign_but_not_schema(self, tmp_path):
         _, out_a = run_cli(["tensor-check", "--instances", "6",
                             "--seed", "3"], tmp_path, sub="s3")
@@ -417,6 +436,32 @@ class TestExitCodes:
         assert len(err) < 200  # a huge count is not printed digit by digit
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["transversal", "--out", "../../x.csv"],
+        ["transversal", "--out", "ABS/x.csv"],
+        ["branches", "--samples", "2", "--out-prefix", "sub/../../b"],
+        ["spectrum2d", "--report-out", "../r.json"],
+        ["pseudospectrum", "--fit-out", "../f.json"],
+    ])
+    def test_output_name_outside_output_dir_exits_two(self, tmp_path, capsys,
+                                                      args):
+        args = [a.replace("ABS", str(tmp_path)) for a in args]
+        code = run_cli(args, tmp_path, sub="d/e")[0]
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "must stay inside --output-dir" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_output_dir_exits_two(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        code = run_cli(["transversal"], tmp_path, sub="file/sub")[0]
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+        assert (tmp_path / "file").read_text() == ""
 
     def test_large_coupling_passes_the_relative_boundary_gate(
             self, tmp_path, capsys):

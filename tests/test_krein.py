@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.csgraph
 
 from kreinspec import (
     ClassifiedSpectrum,
@@ -346,11 +347,57 @@ def union_find_clusters(eigvals, gap):
     return list(groups.values())
 
 
+def dense_clusters(eigvals, gap):
+    """Reference: the n x n distance table as a graph, its connected
+    components split by a stable argsort of the labels, lowest index first."""
+    e = np.asarray(eigvals)
+    if e.size == 0:
+        return []
+    close = scipy.sparse.csr_array(np.abs(e[:, None] - e[None, :]) <= gap)
+    _, labels = scipy.sparse.csgraph.connected_components(close, directed=False)
+    order = np.argsort(labels, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+    return sorted(groups, key=lambda g: g[0])
+
+
+def cluster_case(rng, kind):
+    """One seeded clustering input of the given kind, n up to 300."""
+    n = int(rng.integers(1, 301 if rng.random() < 0.05 else 40))
+    if kind == "shifted lattice":  # re + gap rounds at these magnitudes
+        step = rng.choice([0.1, 0.25, 0.3, 0.7])
+        e = 10.0 ** rng.uniform(3, 6) * rng.choice([-1, 1]) + step * (
+            rng.integers(-8, 9, n) + 1j * rng.integers(-2, 3, n))
+        return e, float(step * rng.choice([0, 1, 2]))
+    if kind == "lattice across zero":  # re_b - re_a rounds too
+        step = rng.choice([0.1, 0.3, 0.7, 1 / 3]) * 10.0 ** rng.integers(-3, 7)
+        e = step * (rng.integers(-4, 5, n) + rng.choice([0.1, 0.3, 0.7])
+                    + 1j * rng.integers(-1, 2, n))
+        return e, float(step * rng.choice([1, 2]))
+    if kind == "duplicates":
+        return rng.integers(-3, 4, n) + 1j * rng.integers(-1, 2, n), 0.0
+    if kind == "nan and inf":
+        e = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        bad = rng.random(n) < 0.2
+        e[bad] = rng.choice([np.nan, np.inf, -np.inf, complex(np.nan, 1),
+                             complex(1, np.inf)], int(bad.sum()))
+        return e, float(rng.uniform(0, 0.5))
+    if kind == "vertical line":  # every pair is a candidate
+        return 2.0 + 0.25j * rng.integers(-20, 21, n), 0.25 * int(rng.integers(3))
+    e = 10 * rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return e, float(10 ** rng.uniform(-3, 0.5))
+
+
 class TestClusterEigenvalues:
     def test_ties_at_gap_are_linked(self):
         e = np.array([0.0, 2.0, 0.5, 0.5j, 1.5])
         groups = _cluster_eigenvalues(e, 0.5)
         assert [g.tolist() for g in groups] == [[0, 2, 3], [1, 4]]
+
+    def test_tie_across_zero_needs_the_ulp_padding(self):
+        # re_a + gap rounds below re_b although |e_b - e_a| == gap exactly
+        e = np.array([-9e-05, 1e-05])
+        assert e[0] + 1e-4 < e[1] and abs(e[1] - e[0]) <= 1e-4
+        assert [g.tolist() for g in _cluster_eigenvalues(e, 1e-4)] == [[0, 1]]
 
     def test_matches_union_find(self):
         # points on a quarter lattice, so many pairs lie exactly gap apart
@@ -361,6 +408,33 @@ class TestClusterEigenvalues:
             for gap in (0.0, 0.25, 0.5):
                 got = [g.tolist() for g in _cluster_eigenvalues(e, gap)]
                 assert got == union_find_clusters(e, gap)
+
+    @pytest.mark.parametrize("kind", ["shifted lattice", "lattice across zero",
+                                      "duplicates", "nan and inf",
+                                      "vertical line", "scattered"])
+    def test_matches_dense_kernel_group_by_group(self, kind):
+        rng = np.random.default_rng(list(kind.encode()))
+        for _ in range(340):
+            e, gap = cluster_case(rng, kind)
+            with np.errstate(invalid="ignore"):  # inf - inf
+                got, want = _cluster_eigenvalues(e, gap), dense_clusters(e, gap)
+                assert [g.tolist() for g in want] == union_find_clusters(e, gap)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+
+    @pytest.mark.parametrize("case", ["robin", "campaign"])
+    def test_classification_matches_dense_kernel_bitwise(self, monkeypatch,
+                                                         case):
+        if case == "robin":
+            T, J = robin_fd(A_STRIP, 1.7j, 121)
+        else:
+            T, J = kron_sum(*_campaign_instance(np.random.default_rng(4), "big"))
+        got = classify_spectrum(T, J)
+        monkeypatch.setattr(krein, "_cluster_eigenvalues", dense_clusters)
+        want = classify_spectrum(T, J)
+        assert len(got) == len(want) == T.shape[0]
+        assert all(same_entry(a, b) for a, b in zip(got, want))
 
     def test_empty(self):
         assert _cluster_eigenvalues(np.array([], dtype=complex), 1.0) == []
