@@ -5,7 +5,8 @@ certified secular roots, branch continuation, the randomized tensor-sum
 prediction campaign, 2D strip eigenvalues, and pseudospectrum sweeps,
 plus plot-ready CSV emitters.  Outputs are deterministic for a fixed
 (config, seed), carry a sha256 of the resolved configuration in their
-headers, and are written atomically (temp file + rename).
+headers, and are written all or none (every file staged as a temp file,
+then all renamed).
 
 Exit codes: 0 success, 2 validation/usage/write failure, 3 numerical failure.
 """
@@ -76,21 +77,46 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _atomic_write(path: Path, text: str) -> Path:
-    tmp = None
+def _write_all(output_dir: Path, files: dict) -> list:
+    """Write a run's ``{name: text}`` files under ``output_dir``, all or
+    none: each is staged as a temp file beside its target, with the mode
+    a plain open() would give, and renamed only once every one is staged."""
+    paths = [output_dir / name for name in files]
+    mask = os.umask(0)
+    os.umask(mask)
+    staged = {}
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent),
-                                   prefix=path.name + ".", suffix=".tmp")
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
+        for path in paths:
+            if path.is_dir():
+                raise IsADirectoryError("is a directory")
+        for path, text in zip(paths, files.values()):
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(
+                dir=str(path.parent), prefix=path.name + ".", suffix=".tmp")
+            staged[tmp] = path
+            with os.fdopen(fd, "w") as handle:
+                os.fchmod(fd, 0o666 & ~mask)
+                handle.write(text)
+        for tmp, path in staged.items():
+            os.replace(tmp, path)
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc}") from exc
     finally:
-        if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
-    return path
+        for tmp in staged:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    return paths
+
+
+def _check_output_dir(path: Path) -> None:
+    """The nearest existing ancestor of ``path`` must be a directory that
+    can be written and searched, so the run's files can be created."""
+    base = path.absolute()
+    while not os.path.exists(base):
+        base = base.parent
+    if not (base.is_dir() and os.access(base, os.W_OK | os.X_OK)):
+        raise ValidationError(f"cannot write {path}: {base} is not a "
+                              "writable directory")
 
 
 def _csv_text(cfg: RunConfig, description: str, columns: list,
@@ -225,7 +251,8 @@ def _window(p: dict, lo: str, hi: str):
 
 
 # ---------------------------------------------------------------------------
-# Command handlers: each takes the run config and the checked values
+# Command handlers: each takes the run config and the checked values and
+# returns the run's files as {name under --output-dir: text}
 # ---------------------------------------------------------------------------
 
 def _longitudinal(p: dict):
@@ -262,35 +289,35 @@ def _mode_table(a: float, alpha0: float, n_rows: int) -> list:
     return transversal_modes(a, alpha0, n_lattice)[:cut]
 
 
-def cmd_transversal(cfg: RunConfig, p: dict) -> list:
+def cmd_transversal(cfg: RunConfig, p: dict) -> dict:
     modes = _mode_table(p["a"], p["alpha0"], p["modes"])
     rows = [[str(m.mu_index), _fmt(m.lam), _fmt(m.indicator), m.type.value]
             for m in modes]
-    return [_atomic_write(cfg.output_dir / p["out"], _csv_text(
+    return {p["out"]: _csv_text(
         cfg, "transversal Robin eigenvalues, parity indicators and types "
-             "in sorted order", ["n", "lambda", "indicator", "type"], rows))]
+             "in sorted order", ["n", "lambda", "indicator", "type"], rows)}
 
 
-def cmd_msets(cfg: RunConfig, p: dict) -> list:
+def cmd_msets(cfg: RunConfig, p: dict) -> dict:
     dec = waveguide_m_sets(p["a"], p["alpha0"], _longitudinal(p),
                            window_max=p["window_max"], n_modes=p["n_modes"])
-    return [_atomic_write(cfg.output_dir / p["out"], _json_text(
+    return {p["out"]: _json_text(
         cfg, "typed decomposition of the waveguide spectral support",
-        dec.to_json_obj()))]
+        dec.to_json_obj())}
 
 
-def cmd_secular(cfg: RunConfig, p: dict) -> list:
+def cmd_secular(cfg: RunConfig, p: dict) -> dict:
     a, alpha0, beta0 = p["a"], p["alpha0"], p["beta0"]
     roots = secular_roots(a, alpha0, beta0, _rect(p), tol=p["tol"])
     rows = [[_fmt(r.real), _fmt(r.imag),
              _fmt(abs(secular_value(r, a, alpha0, beta0)))] for r in roots]
-    return [_atomic_write(cfg.output_dir / p["out"], _csv_text(
+    return {p["out"]: _csv_text(
         cfg, "certified secular-equation roots in a rectangle",
         ["re_k", "im_k", "residual"], rows,
-        extra_comments=[f"winding: {len(roots)}"]))]
+        extra_comments=[f"winding: {len(roots)}"])}
 
 
-def cmd_branches(cfg: RunConfig, p: dict) -> list:
+def cmd_branches(cfg: RunConfig, p: dict) -> dict:
     a, alpha0 = p["a"], p["alpha0"]
     samples = np.linspace(p["beta0_min"], p["beta0_max"], p["samples"])
     seeds = []
@@ -298,17 +325,14 @@ def cmd_branches(cfg: RunConfig, p: dict) -> list:
         seeds.extend(secular_roots(a, alpha0, p["beta0_min"], region,
                                    tol=p["tol"]))
     tables = branch_curves(a, alpha0, samples, seeds, tol=p["tol"])
-    paths = []
-    for i, table in enumerate(tables, start=1):
-        rows = [[_fmt(q.beta0), _fmt(q.k.real), _fmt(q.k.imag)] for q in table]
-        paths.append(_atomic_write(
-            cfg.output_dir / f"{p['out_prefix']}{i}.csv", _csv_text(
-                cfg, f"secular root branch {i} tracked along the real "
-                     "coupling offset", ["beta0", "re_k", "im_k"], rows)))
-    return paths
+    return {f"{p['out_prefix']}{i}.csv": _csv_text(
+        cfg, f"secular root branch {i} tracked along the real coupling "
+             "offset", ["beta0", "re_k", "im_k"],
+        [[_fmt(q.beta0), _fmt(q.k.real), _fmt(q.k.imag)] for q in table])
+        for i, table in enumerate(tables, start=1)}
 
 
-def cmd_tensor_check(cfg: RunConfig, p: dict) -> list:
+def cmd_tensor_check(cfg: RunConfig, p: dict) -> dict:
     result = run_campaign(cfg.seed, p["instances"],
                           tol=cfg.tolerances["gram"], dim_cap=p["dim_cap"])
     payload = {
@@ -322,29 +346,27 @@ def cmd_tensor_check(cfg: RunConfig, p: dict) -> list:
         "ok": result.total_violations == 0,
         "instances": result.instances,
     }
-    return [_atomic_write(cfg.output_dir / p["out"], _json_text(
-        cfg, "randomized Kronecker-sum type-prediction campaign", payload))]
+    return {p["out"]: _json_text(
+        cfg, "randomized Kronecker-sum type-prediction campaign", payload)}
 
 
-def cmd_spectrum2d(cfg: RunConfig, p: dict) -> list:
+def cmd_spectrum2d(cfg: RunConfig, p: dict) -> dict:
     window = _window(p, "window_lo", "window_hi")
     pairs = eigs_near(_strip(p), complex(p["target_re"], p["target_im"]),
                       p["count"], tol=cfg.tolerances["residual"])
     rep = (None if window is None
            else realness_report(pairs, window, p["imag_tol"]))
     rows = [[_fmt(lam.real), _fmt(lam.imag), _fmt(res)] for lam, res in pairs]
-    paths = [_atomic_write(cfg.output_dir / p["out"], _csv_text(
+    files = {p["out"]: _csv_text(
         cfg, "strip-operator eigenvalues nearest the target",
-        ["re_lambda", "im_lambda", "residual"], rows))]
+        ["re_lambda", "im_lambda", "residual"], rows)}
     if rep is not None:
-        paths.append(_atomic_write(
-            cfg.output_dir / p["report_out"], _json_text(
-                cfg, "realness screen of windowed eigenvalues",
-                rep.to_json_obj())))
-    return paths
+        files[p["report_out"]] = _json_text(
+            cfg, "realness screen of windowed eigenvalues", rep.to_json_obj())
+    return files
 
 
-def cmd_pseudospectrum(cfg: RunConfig, p: dict) -> list:
+def cmd_pseudospectrum(cfg: RunConfig, p: dict) -> dict:
     rect = _rect(p)
     window = _window(p, "fit_window_lo", "fit_window_hi")
     pmap = pseudospectrum_map(_strip(p), rect, p["mx"], p["my"],
@@ -358,17 +380,17 @@ def cmd_pseudospectrum(cfg: RunConfig, p: dict) -> list:
             rows.append([_fmt(lam.real), _fmt(lam.imag),
                          _fmt(pmap.sigmas[iy, ix]),
                          "1" if pmap.flagged[iy, ix] else "0"])
-    paths = [_atomic_write(cfg.output_dir / p["out"], _csv_text(
+    files = {p["out"]: _csv_text(
         cfg, "smallest singular value of (H - lambda) over a rectangle",
-        ["re_lambda", "im_lambda", "sigma_min", "flagged"], rows))]
+        ["re_lambda", "im_lambda", "sigma_min", "flagged"], rows)}
     if fit is not None:
-        paths.append(_atomic_write(cfg.output_dir / p["fit_out"], _json_text(
+        files[p["fit_out"]] = _json_text(
             cfg, "log-log fit of |Im lambda| against sigma_min",
-            fit.to_json_obj())))
-    return paths
+            fit.to_json_obj())
+    return files
 
 
-def cmd_figures(cfg: RunConfig, p: dict) -> list:
+def cmd_figures(cfg: RunConfig, p: dict) -> dict:
     alphas = np.linspace(p["alpha0_min"], p["alpha0_max"], p["alpha0_samples"])
     if p["which"] == "fig1":
         rows = []
@@ -376,10 +398,10 @@ def cmd_figures(cfg: RunConfig, p: dict) -> list:
             for m in _mode_table(p["a"], float(alpha0), p["modes"]):
                 rows.append([_fmt(alpha0), str(m.mu_index), _fmt(m.lam),
                              m.type.value])
-        return [_atomic_write(cfg.output_dir / "fig1.csv", _csv_text(
+        return {"fig1.csv": _csv_text(
             cfg, "transversal eigenvalue curves and types against the "
                  "imaginary coupling strength",
-            ["alpha0", "n", "lambda", "type"], rows))]
+            ["alpha0", "n", "lambda", "type"], rows)}
     if p["which"] == "fig2":
         long = longitudinal_spectrum(Zero())
         rows = []
@@ -393,11 +415,11 @@ def cmd_figures(cfg: RunConfig, p: dict) -> list:
                                  "inf" if math.isinf(iv.upper) else _fmt(iv.upper),
                                  "1" if iv.lower_closed else "0",
                                  "1" if iv.upper_closed else "0"])
-        return [_atomic_write(cfg.output_dir / "fig2.csv", _csv_text(
+        return {"fig2.csv": _csv_text(
             cfg, "typed spectral-support intervals against the imaginary "
                  "coupling strength",
             ["alpha0", "set", "lower", "upper", "lower_closed",
-             "upper_closed"], rows))]
+             "upper_closed"], rows)}
     sub = replace(cfg, command="branches",
                   parameters={**cfg.parameters, "out_prefix": "fig3_branch"})
     return cmd_branches(sub, {**p, "out_prefix": "fig3_branch"})
@@ -543,7 +565,9 @@ def build_parser() -> argparse.ArgumentParser:
 def resolve_config(args: argparse.Namespace) -> tuple[RunConfig, dict]:
     """Merge the flags with the config file and check every value by its
     table row.  Returns the run config, whose parameters are the merged
-    values as given (their hash heads every output), and the checked values."""
+    values as given (their hash heads every output), and the checked values.
+    An output directory that cannot be created is refused here, before any
+    work."""
     merged = {k: v for k, v in vars(args).items()
               if k not in ("command", "config")}
     tolerances = dict(DEFAULT_TOLERANCES)
@@ -577,6 +601,7 @@ def resolve_config(args: argparse.Namespace) -> tuple[RunConfig, dict]:
                                 if k not in _COMMON},
                     output_dir=Path(p["output_dir"]), seed=p["seed"],
                     tolerances=tolerances)
+    _check_output_dir(cfg.output_dir)
     return cfg, p
 
 
@@ -587,7 +612,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg, p = resolve_config(args)
-        for path in COMMANDS[cfg.command][0](cfg, p):
+        files = COMMANDS[cfg.command][0](cfg, p)
+        for path in _write_all(cfg.output_dir, files):
             print(path)
         return 0
     except ValidationError as exc:

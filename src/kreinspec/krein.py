@@ -322,7 +322,8 @@ def _root_entry(R, Z, Jm, eigvals, idx, scale, tol):
     The Schur eigenvalues inside the circle that separates the cluster
     from the rest of ``eigvals`` are moved to the top of R as a whole, so
     the leading columns of the reordered Z are an orthonormal basis B of
-    the cluster's root subspace.  Returns the entry and B.
+    the cluster's root subspace.  Returns the entry and B, a copy, so a
+    kept basis does not hold the whole reordered Z.
     """
     members = eigvals[idx]
     others = np.delete(eigvals, idx)
@@ -356,7 +357,7 @@ def _root_entry(R, Z, Jm, eigvals, idx, scale, tol):
         raise NumericalError(
             f"root subspace of the cluster at {center:.6g} is ill-conditioned: "
             f"s = {s:.3e}, sep = {sep:.3e}")
-    B = Z[:, :m]
+    B = Z[:, :m].copy()
 
     G = B.conj().T @ Jm @ B
     G = 0.5 * (G + G.conj().T)
@@ -419,10 +420,13 @@ def _classified_roots(T, J, tol: float = 1e-8,
                       cluster_gap: float | None = None,
                       points: Sequence[complex] | None = None,
                       eigvals: np.ndarray | None = None,
-                      query: complex | None = None) -> list:
+                      query: complex | None = None,
+                      failures: list | None = None) -> list:
     """(entry, root basis) pairs of ``classify_spectrum``, in its order.
 
     A ``query`` point must lie on the spectrum, and selects its cluster.
+    With a ``failures`` list, a cluster that raises ContourError or
+    NumericalError is appended to it and skipped instead.
     """
     T = np.asarray(T, dtype=complex)
     Jm = np.asarray(_as_matrix(J), dtype=complex)
@@ -460,7 +464,14 @@ def _classified_roots(T, J, tol: float = 1e-8,
                   for d in (np.abs(eigvals - p) for p in points)}
         clusters = [clusters[i] for i in sorted(wanted)]
 
-    roots = [_root_entry(R, Z, Jm, eigvals, idx, scale, tol) for idx in clusters]
+    roots = []
+    for idx in clusters:
+        try:
+            roots.append(_root_entry(R, Z, Jm, eigvals, idx, scale, tol))
+        except (ContourError, NumericalError) as exc:
+            if failures is None:
+                raise
+            failures.append(exc)
     roots.sort(key=lambda root: _position(root[0]))
     return roots
 

@@ -24,12 +24,12 @@ from typing import NamedTuple, Sequence
 import numpy as np
 import scipy.linalg
 
-from .errors import ContourError, NumericalError, ValidationError
+from .errors import NumericalError, ValidationError
 from .krein import (ClassifiedSpectrum, DefinitenessCertificate, Involution,
                     SpectralType, SpectrumEntry, _classified_roots,
                     _cluster_eigenvalues, _factorization, _norm2, _position,
-                    _root_entry, definiteness_constants,
-                    j_self_adjoint_defect, validate_involution)
+                    definiteness_constants, j_self_adjoint_defect,
+                    validate_involution)
 from .realsets import RealLineSet, minkowski_add_points
 
 __all__ = [
@@ -218,38 +218,26 @@ def _tag(t1: SpectralType, t2: SpectralType) -> str:
     return a + b
 
 
-@dataclass(frozen=True)
-class _SumGroup:
-    rep: complex
-    flags: frozenset
-
-
 def _check_typed(c: ClassifiedSpectrum):
     for e in c.entries:
         if not isinstance(e.type, SpectralType):
             raise ValidationError(f"eigenvalue {e.lam} carries no spectral type")
 
 
-def _pair_sums(c1: ClassifiedSpectrum, c2: ClassifiedSpectrum):
-    """Every pairwise eigenvalue sum and its type-pair tag, as two arrays."""
+def _sum_groups(c1: ClassifiedSpectrum, c2: ClassifiedSpectrum,
+                coalesce_tol: float):
+    """Every pairwise eigenvalue sum and its type-pair tag, as two arrays,
+    and the sums coalesced into (rep, tags) groups sorted by (Re, Im)."""
     _check_typed(c1)
     _check_typed(c2)
     pairs = [(e1, e2) for e1 in c1.entries for e2 in c2.entries]
     pts = np.array([complex(e1.lam) + complex(e2.lam) for e1, e2 in pairs],
                    dtype=complex)
     tags = np.array([_tag(e1.type, e2.type) for e1, e2 in pairs], dtype="U2")
-    return pts, tags
-
-
-def _tagged_sums(pts: np.ndarray, tags: np.ndarray,
-                 coalesce_tol: float) -> list[_SumGroup]:
-    """The pair sums coalesced, with type-pair flags unioned."""
-    groups = []
-    for idx in _cluster_eigenvalues(pts, coalesce_tol):
-        rep = complex(np.mean(pts[idx]))
-        groups.append(_SumGroup(rep=rep, flags=frozenset(tags[idx].tolist())))
-    groups.sort(key=lambda g: (g.rep.real, g.rep.imag))
-    return groups
+    groups = sorted(((complex(np.mean(pts[i])), frozenset(tags[i].tolist()))
+                     for i in _cluster_eigenvalues(pts, coalesce_tol)),
+                    key=lambda g: (g[0].real, g[0].imag))
+    return pts, tags, groups
 
 
 def predict_m_sets(c1, c2: ClassifiedSpectrum, coalesce_tol: float = 1e-7) -> MSets:
@@ -274,11 +262,11 @@ def predict_m_sets(c1, c2: ClassifiedSpectrum, coalesce_tol: float = 1e-7) -> MS
             parts.append(minkowski_add_points(pts, c1))
         return MSets(*parts)
 
-    groups = _tagged_sums(*_pair_sums(c1, c2), coalesce_tol)
-    plus = tuple(g.rep for g in groups if g.flags & {"pp", "mm"})
-    minus = tuple(g.rep for g in groups if g.flags & {"pm", "mp"})
-    zero = tuple(g.rep for g in groups
-                 if not (g.flags & {"pp", "mm", "pm", "mp"}))
+    groups = _sum_groups(c1, c2, coalesce_tol)[2]
+    plus = tuple(rep for rep, tags in groups if tags & {"pp", "mm"})
+    minus = tuple(rep for rep, tags in groups if tags & {"pm", "mp"})
+    zero = tuple(rep for rep, tags in groups
+                 if not (tags & {"pp", "mm", "pm", "mp"}))
     return MSets(plus, minus, zero)
 
 
@@ -328,8 +316,8 @@ def predict_types(f1: FactorSpec, f2: FactorSpec,
     if separation_radius is None:
         separation_radius = 1e-4 * max(1.0, scale)
 
-    pts, tags = _pair_sums(f1.classification, f2.classification)
-    groups = _tagged_sums(pts, tags, coalesce_tol)
+    pts, tags, groups = _sum_groups(f1.classification, f2.classification,
+                                    coalesce_tol)
     blocks = {k: pts[tags == k] for k in _BLOCKS}
 
     block_rules = ()
@@ -341,10 +329,10 @@ def predict_types(f1: FactorSpec, f2: FactorSpec,
         block_rules = _BLOCK_RULES + (_GATED_RULES if gate else ())
 
     predicted = {}
-    for g in groups:
+    for rep, flags in groups:
         rules = []
-        in_p = bool(g.flags & {"pp", "mm"})
-        in_m = bool(g.flags & {"pm", "mp"})
+        in_p = bool(flags & {"pp", "mm"})
+        in_m = bool(flags & {"pm", "mp"})
         if (in_p and in_m) or not (in_p or in_m):
             rules.append(TypeConstraint.MUST_BE_NOT_DEFINITE)
         elif in_p:
@@ -353,12 +341,12 @@ def predict_types(f1: FactorSpec, f2: FactorSpec,
             rules.append(TypeConstraint.NOT_PLUS)
 
         for near, constraint in block_rules:
-            if g.flags & near and all(
-                    _dist(g.rep, blocks[k]) > separation_radius
+            if flags & near and all(
+                    _dist(rep, blocks[k]) > separation_radius
                     for k in _BLOCKS if k not in near):
                 rules.append(constraint)
 
-        predicted[g.rep] = _merge_constraints(rules)
+        predicted[rep] = _merge_constraints(rules)
     return predicted
 
 
@@ -400,23 +388,18 @@ def oracle_classify_and_compare(f1: FactorSpec, f2: FactorSpec,
 
     The default cluster gap is coarser than the classifier's (1e-6 times
     the norm) so that multiple eigenvalues split by Kronecker-level
-    rounding are folded back into one cluster.  Every cluster is read
-    from one Schur form of the sum; clusters the classifier cannot
-    certify are skipped and counted in ``oracle_failures``.
+    rounding are folded back into one cluster.  The clusters of the Schur
+    diagonal of the sum go through the engine of ``classify_spectrum``;
+    those it cannot certify are skipped and counted in ``oracle_failures``.
     """
     S, J = kron_sum(f1, f2, dim_cap=dim_cap)
-    norm, R, Z = _factorization(S)
+    norm, R, _ = _factorization(S)
     if cluster_gap is None:
         cluster_gap = 1e-6 * max(1.0, norm)
-
-    eigvals = np.diag(R)
-    entries, failures = [], 0
-    for idx in _cluster_eigenvalues(eigvals, cluster_gap):
-        try:
-            entries.append(_root_entry(R, Z, J.matrix, eigvals, idx, norm, tol)[0])
-        except (ContourError, NumericalError):
-            failures += 1
-    oracle = ClassifiedSpectrum(tuple(sorted(entries, key=_position)))
+    failures = []
+    roots = _classified_roots(S, J, tol=tol, cluster_gap=cluster_gap,
+                              eigvals=np.diag(R), failures=failures)
+    oracle = ClassifiedSpectrum(tuple(entry for entry, _ in roots))
 
     predicted = predict_types(f1, f2, separation_radius=separation_radius,
                               coalesce_tol=coalesce_tol,
@@ -448,7 +431,7 @@ def oracle_classify_and_compare(f1: FactorSpec, f2: FactorSpec,
     return PredictionReport(m_plus=msets.m_plus, m_minus=msets.m_minus,
                             m_zero=msets.m_zero, predicted=predicted,
                             oracle=oracle, violations=tuple(violations),
-                            oracle_failures=failures, unmatched=unmatched)
+                            oracle_failures=len(failures), unmatched=unmatched)
 
 
 # ---------------------------------------------------------------------------
@@ -513,9 +496,7 @@ def _sample_distinct(rng, count, gap=0.3, low=-5.0, high=5.0, existing=()):
 
 def _embed(n, idx, block):
     M = np.eye(n, dtype=complex)
-    for a, i in enumerate(idx):
-        for b, j in enumerate(idx):
-            M[i, j] = block[a, b]
+    M[np.ix_(idx, idx)] = block
     return M
 
 
@@ -539,60 +520,37 @@ def random_jsa_factor(rng: np.random.Generator,
     result is J-self-adjoint to machine precision.  The returned
     classification is the constructed ground truth, not a re-measurement.
     """
-    if plus_eigs is None or minus_eigs is None or jordan_eigs is None \
-            or pair_eigs is None:
-        reals = _sample_distinct(
-            rng, (n_plus if plus_eigs is None else 0)
-            + (n_minus if minus_eigs is None else 0)
-            + (n_jordan if jordan_eigs is None else 0)
-            + (n_pairs if pair_eigs is None else 0),
-            existing=[x for s in (plus_eigs, minus_eigs, jordan_eigs) if s
-                      for x in s]
-            + [complex(z).real for z in (pair_eigs or [])])
-        k = 0
-        if plus_eigs is None:
-            plus_eigs, k = reals[k:k + n_plus], k + n_plus
-        if minus_eigs is None:
-            minus_eigs, k = reals[k:k + n_minus], k + n_minus
-        if jordan_eigs is None:
-            jordan_eigs, k = reals[k:k + n_jordan], k + n_jordan
-        if pair_eigs is None:
-            pair_eigs = [r + 1j * rng.uniform(0.4, 1.5) for r in reals[k:]]
-    plus_eigs = [float(x) for x in plus_eigs]
-    minus_eigs = [float(x) for x in minus_eigs]
-    jordan_eigs = [float(x) for x in jordan_eigs]
-    pair_eigs = [complex(z) for z in pair_eigs]
+    given = (plus_eigs, minus_eigs, jordan_eigs, pair_eigs)
+    counts = (n_plus, n_minus, n_jordan, n_pairs)
+    reals = iter(_sample_distinct(
+        rng, sum(k for s, k in zip(given, counts) if s is None),
+        existing=[complex(x).real for s in given if s is not None for x in s]))
+    plus_eigs, minus_eigs, jordan_eigs, pair_reals = (
+        [next(reals) for _ in range(k)] if s is None else s
+        for s, k in zip(given, counts))
+    pair_eigs = ([r + 1j * rng.uniform(0.4, 1.5) for r in pair_reals]
+                 if pair_eigs is None else pair_eigs)
 
-    blocks, jdiag, truth = [], [], []
-    plus_cols, minus_cols = [], []
-    pos = 0
-    for lam in plus_eigs:
-        blocks.append(np.array([[lam]], dtype=complex))
-        jdiag.append(1.0)
-        plus_cols.append(pos)
-        truth.append((lam, 1, 1, _P, [1.0]))
-        pos += 1
-    for lam in minus_eigs:
-        blocks.append(np.array([[lam]], dtype=complex))
-        jdiag.append(-1.0)
-        minus_cols.append(pos)
-        truth.append((lam, 1, 1, _M, [-1.0]))
-        pos += 1
-    for lam in jordan_eigs:
+    # canonical pieces (block, J signs, ground-truth entries); the plus
+    # and then the minus eigenvalues hold the leading coordinates
+    pieces = [(np.array([[x]], dtype=complex), [sign], [(x, 1, 1, t, [sign])])
+              for eigs, sign, t in ((plus_eigs, 1.0, _P),
+                                    (minus_eigs, -1.0, _M))
+              for x in map(float, eigs)]
+    for lam in map(float, jordan_eigs):
         t = float(rng.uniform(0.5, 1.5))
-        blocks.append(np.array([[lam + t, t], [-t, lam - t]], dtype=complex))
-        jdiag.extend([1.0, -1.0])
-        truth.append((lam, 2, 1, _0, [-1.0, 1.0]))
-        pos += 2
-    for z in pair_eigs:
+        pieces.append((np.array([[lam + t, t], [-t, lam - t]], dtype=complex),
+                       [1.0, -1.0], [(lam, 2, 1, _0, [-1.0, 1.0])]))
+    for z in map(complex, pair_eigs):
         w = abs(z.imag)
-        blocks.append(np.array([[z.real, w], [-w, z.real]], dtype=complex))
-        jdiag.extend([1.0, -1.0])
-        truth.append((complex(z.real, w), 1, 1, _0, [0.0]))
-        truth.append((complex(z.real, -w), 1, 1, _0, [0.0]))
-        pos += 2
-
-    n = pos
+        pieces.append((np.array([[z.real, w], [-w, z.real]], dtype=complex),
+                       [1.0, -1.0], [(complex(z.real, w), 1, 1, _0, [0.0]),
+                                     (complex(z.real, -w), 1, 1, _0, [0.0])]))
+    blocks = [block for block, _, _ in pieces]
+    jdiag = [s for _, signs, _ in pieces for s in signs]
+    truth = [e for _, _, entries in pieces for e in entries]
+    n, n_p, n_m = len(jdiag), len(plus_eigs), len(minus_eigs)
+    plus_cols, minus_cols = list(range(n_p)), list(range(n_p, n_p + n_m))
     T = scipy.linalg.block_diag(*blocks) if blocks else np.zeros((0, 0))
     Jm = np.diag(jdiag)
     sig_plus = [i for i, s in enumerate(jdiag) if s > 0]
@@ -621,8 +579,7 @@ def random_jsa_factor(rng: np.random.Generator,
             Ginv = _embed(n, [int(i), int(j)], U2.conj().T) @ Ginv
 
     T = G @ T @ Ginv
-    Bp = G[:, plus_cols] if plus_cols else np.zeros((n, 0), dtype=complex)
-    Bm = G[:, minus_cols] if minus_cols else np.zeros((n, 0), dtype=complex)
+    Bp, Bm = G[:, plus_cols], G[:, minus_cols]
 
     if conjugate:
         W = np.linalg.qr(rng.standard_normal((n, n))

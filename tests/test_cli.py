@@ -2,10 +2,11 @@
 
 Covers the documented invocation examples, exit-code discipline
 (0 success, 2 validation, 3 numerical), byte-identical determinism,
-config-file override semantics, header content, and atomic writes.
+config-file override semantics, header content, and all-or-none writes.
 """
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -15,6 +16,7 @@ import scipy.sparse.linalg
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from kreinspec import cli
 from kreinspec.cli import (COMMANDS, DEFAULT_TOLERANCES, build_parser, main,
                            resolve_config)
 from kreinspec.errors import ValidationError
@@ -463,6 +465,20 @@ class TestExitCodes:
         assert [p.name for p in tmp_path.iterdir()] == ["file"]
         assert (tmp_path / "file").read_text() == ""
 
+    def test_unwritable_output_dir_refused_before_any_work(
+            self, tmp_path, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the strip was assembled")
+
+        monkeypatch.setattr(cli, "assemble_waveguide", no_work)
+        (tmp_path / "file").write_text("")
+        code = run_cli(["spectrum2d", "--nx", "640", "--ny", "48", "--lx",
+                        "40"], tmp_path, sub="file/sub")[0]
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
     def test_large_coupling_passes_the_relative_boundary_gate(
             self, tmp_path, capsys):
         # the absolute residual of these exact modes is about 2e-10
@@ -511,6 +527,37 @@ class TestAtomicWrites:
             tmp_path)
         assert code == 2
         assert not out.exists() or not list(out.iterdir())
+
+    @pytest.mark.parametrize("args, blocker, is_dir", [
+        (["spectrum2d", "--nx", "16", "--ny", "8", "--count", "3",
+          "--window-lo", "0", "--window-hi", "0.9",
+          "--report-out", "blocked/r.json"], "blocked", False),
+        (["branches", "--samples", "3"], "branch2.csv", True),
+    ])
+    def test_a_failing_later_file_leaves_no_earlier_one(
+            self, tmp_path, capsys, args, blocker, is_dir):
+        out = tmp_path / "out"
+        out.mkdir()
+        if is_dir:
+            (out / blocker).mkdir()
+        else:
+            (out / blocker).write_text("")
+        code = run_cli(args, tmp_path)[0]
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1
+        assert [p.name for p in out.iterdir()] == [blocker]
+        assert is_dir or (out / blocker).read_text() == ""
+
+    @pytest.mark.parametrize("mask", [0o022, 0o077], ids=oct)
+    def test_file_mode_follows_the_umask(self, tmp_path, mask):
+        old = os.umask(mask)
+        try:
+            code, out = run_cli(["transversal"], tmp_path)
+        finally:
+            os.umask(old)
+        assert code == 0
+        assert (out / "transversal.csv").stat().st_mode & 0o777 == 0o666 & ~mask
 
     def test_output_dir_created_when_nested(self, tmp_path):
         nested = tmp_path / "deep" / "er"

@@ -496,6 +496,14 @@ class TestSchurAgainstRiesz:
         assert len(roots) == dim
         self.check(S, J, roots[::stride], np.linalg.eigvals(S))
 
+    def test_root_bases_own_their_memory(self):
+        # a view would keep the whole reordered Schur vectors of its
+        # cluster alive for as long as the basis
+        S, J = kron_sum(*_campaign_instance(np.random.default_rng(3), "big"))
+        roots = _classified_roots(S, J, cluster_gap=1e-6 * _norm2(S))
+        assert len(roots) == 60
+        assert all(B.flags.owndata for _, B in roots)
+
     @pytest.mark.parametrize("alpha0", [0.5, 1.7, 3.3])
     def test_robin_operator(self, alpha0):
         T, J = robin_fd(A_STRIP, 1j * alpha0, 121)

@@ -15,6 +15,7 @@ from kreinspec import (
     SpectralType,
     SpectrumEntry,
     ClassifiedSpectrum,
+    ContourError,
     NumericalError,
     ValidationError,
     classify_spectrum,
@@ -24,7 +25,7 @@ from kreinspec import (
     theta_operator,
     validate_involution,
 )
-from kreinspec.krein import DefinitenessCertificate, _norm2
+from kreinspec.krein import DefinitenessCertificate, _classified_roots, _norm2
 from kreinspec.tensorsum import (
     _CAMPAIGN_CYCLE,
     FactorSpec,
@@ -328,6 +329,16 @@ class TestOracleCompare:
         assert report.unmatched == 1
         assert not report.violations
 
+    def test_engine_collects_failures_only_when_asked(self):
+        # the oracle classifies through the engine with a failures list
+        S, J = kron_sum(diag_factor([(1.0, 1), (1.0 + 1e-13, 1)]),
+                        diag_factor([(0.0, 1)]))
+        errs = []
+        assert _classified_roots(S, J, cluster_gap=1e-14, failures=errs) == []
+        assert [type(e) for e in errs] == [ContourError, ContourError]
+        with pytest.raises(ContourError):
+            _classified_roots(S, J, cluster_gap=1e-14)
+
 
 class TestBuildPhi:
     def test_identity_factors(self):
@@ -426,6 +437,22 @@ class TestGenerator:
                 assert got.type is want.type
                 assert got.alg_mult == want.alg_mult
                 assert got.geo_mult == want.geo_mult
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sampled_eigenvalues_keep_clear_of_given_ones(self, seed):
+        f = random_jsa_factor(np.random.default_rng(seed), plus_eigs=[0.0],
+                              n_minus=3, jordan_eigs=[], pair_eigs=[])
+        truth = f.classification.entries
+        lams = sorted(e.lam.real for e in truth)
+        assert 0.0 in lams and len(lams) == 4
+        assert np.min(np.diff(lams)) >= 0.3
+        assert [e.type for e in truth if e.lam == 0.0] == [POS]
+        assert sum(e.type is NEG for e in truth) == 3
+        measured = classify_spectrum(f.t, f.j)
+        assert len(measured) == len(truth)
+        for got, want in zip(measured.entries, truth):
+            assert got.lam == pytest.approx(want.lam, abs=1e-8)
+            assert (got.type, got.alg_mult) == (want.type, want.alg_mult)
 
     def test_bases_are_invariant_and_certified(self):
         rng = np.random.default_rng(8)
