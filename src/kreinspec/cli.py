@@ -27,8 +27,8 @@ import numpy as np
 
 from . import __version__
 from .errors import NumericalError, ValidationError
-from .transversal import (Constant, SquareWell, Zero, branch_curves,
-                          exceptional_set, longitudinal_spectrum,
+from .transversal import (Constant, SquareWell, Zero, _min_lattice,
+                          branch_curves, exceptional_set, longitudinal_spectrum,
                           secular_roots, secular_value, transversal_modes,
                           waveguide_m_sets)
 from .tensorsum import run_campaign
@@ -154,9 +154,11 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-def _num(kind=float, minimum=-math.inf, positive=False, optional=False):
+def _num(kind=float, minimum=-math.inf, positive=False, optional=False,
+         maximum=math.inf):
     """A finite number, not a bool, integral when ``kind`` is int, at least
-    ``minimum`` and, if ``positive``, above zero; None too if ``optional``."""
+    ``minimum``, at most ``maximum`` and, if ``positive``, above zero; None
+    too if ``optional``."""
     def check(value, flag: str):
         if value is None and optional:
             return None
@@ -173,6 +175,8 @@ def _num(kind=float, minimum=-math.inf, positive=False, optional=False):
         if v < minimum or positive and v <= 0:
             bound = "positive" if positive else f"at least {minimum}"
             raise ValidationError(f"{flag} must be {bound}, got {v}")
+        if v > maximum:
+            raise ValidationError(f"{flag} must be at most {maximum}")
         return v
     check.argparse = {"type": kind}
     return check
@@ -280,9 +284,7 @@ def _strip(p: dict):
 
 def _mode_table(a: float, alpha0: float, n_rows: int) -> list:
     exc = exceptional_set(a, alpha0)
-    n_lattice = max(1, n_rows - 1)
-    if exc:
-        n_lattice = max(n_lattice, max(exc))
+    n_lattice = max(1, n_rows - 1, _min_lattice(a, alpha0))
     cut = n_rows
     if exc and cut == max(exc):
         cut += 1  # never split the degenerate pair across the table edge
@@ -456,7 +458,7 @@ _BRANCHES = {
     "alpha0": (1.0, _real),
     "beta0_min": (-0.1, _real),
     "beta0_max": (-0.001, _real),
-    "samples": (16, _num(int, 2)),
+    "samples": (16, _num(int, 2, maximum=100_000)),
     "seed_region": (None, _regions),
     "tol": (1e-12, _positive_real),
 }
@@ -493,7 +495,7 @@ COMMANDS = {
     }),
     "tensor-check": (cmd_tensor_check,
                      "randomized Kronecker-sum prediction campaign", {
-        "instances": (200, _num(int, 1)),
+        "instances": (200, _num(int, 1, maximum=100_000)),
         "dim_cap": (4096, _num(int, 1)),
         "out": ("campaign.json", _name),
     }),
@@ -512,9 +514,9 @@ COMMANDS = {
                        "sigma_min sweep over a rectangle", {
         **_GRID,
         **_rect_rows(0.3, 0.9, 0.02, 0.15),
-        "mx": (13, _num(int, 1)),
-        "my": (7, _num(int, 1)),
-        "dense_cutoff": (400, _num(int, 0)),
+        "mx": (13, _num(int, 1, maximum=1_000)),
+        "my": (7, _num(int, 1, maximum=1_000)),
+        "dense_cutoff": (400, _num(int, 0, maximum=2_000)),
         "fit_window_lo": (None, _num(optional=True)),
         "fit_window_hi": (None, _num(optional=True)),
         "fit_band_lo": (0.03, _real),
@@ -527,8 +529,8 @@ COMMANDS = {
         **_BRANCHES,
         "alpha0_min": (0.05, _real),
         "alpha0_max": (3.0, _real),
-        "alpha0_samples": (60, _num(int, 2)),
-        "modes": (6, _num(int, 1)),
+        "alpha0_samples": (60, _num(int, 2, maximum=10_000)),
+        "modes": (6, _num(int, 1, maximum=100)),
         "window_max": (25.0, _real),
     }),
 }

@@ -240,6 +240,18 @@ def _sum_groups(c1: ClassifiedSpectrum, c2: ClassifiedSpectrum,
     return pts, tags, groups
 
 
+# Same-sign sums make M+, mixed-sign sums M-; a sum with neither tag has
+# every decomposition through a not-definite point ("r") and makes M0.
+_SAME, _MIXED = frozenset({"pp", "mm"}), frozenset({"pm", "mp"})
+
+
+def _m_sets(groups) -> MSets:
+    plus = tuple(rep for rep, tags in groups if tags & _SAME)
+    minus = tuple(rep for rep, tags in groups if tags & _MIXED)
+    zero = tuple(rep for rep, tags in groups if not tags & (_SAME | _MIXED))
+    return MSets(plus, minus, zero)
+
+
 def predict_m_sets(c1, c2: ClassifiedSpectrum, coalesce_tol: float = 1e-7) -> MSets:
     """Membership sets for the sum spectrum from the typed factor spectra.
 
@@ -261,14 +273,14 @@ def predict_m_sets(c1, c2: ClassifiedSpectrum, coalesce_tol: float = 1e-7) -> MS
             pts = [complex(e.lam).real for e in c2.entries if e.type is t]
             parts.append(minkowski_add_points(pts, c1))
         return MSets(*parts)
+    return _m_sets(_sum_groups(c1, c2, coalesce_tol)[2])
 
-    groups = _sum_groups(c1, c2, coalesce_tol)[2]
-    plus = tuple(rep for rep, tags in groups if tags & {"pp", "mm"})
-    minus = tuple(rep for rep, tags in groups if tags & {"pm", "mp"})
-    zero = tuple(rep for rep, tags in groups
-                 if not (tags & {"pp", "mm", "pm", "mp"}))
-    return MSets(plus, minus, zero)
 
+# The exclusion a sum point gets from its membership (in M+, in M-).
+_EXCLUSION = {(True, False): TypeConstraint.NOT_MINUS,
+              (False, True): TypeConstraint.NOT_PLUS,
+              (True, True): TypeConstraint.MUST_BE_NOT_DEFINITE,
+              (False, False): TypeConstraint.MUST_BE_NOT_DEFINITE}
 
 # Block rules as (near tags, constraint): a sum point gets the constraint
 # when one of its tags is near and every other block spectrum ("r" holds
@@ -276,16 +288,10 @@ def predict_m_sets(c1, c2: ClassifiedSpectrum, coalesce_tol: float = 1e-7) -> MS
 # Each same-sign (mixed) block alone gives plus (minus) type; under the
 # product gate the two same-sign (mixed) blocks may overlap each other.
 _BLOCKS = ("pp", "mm", "pm", "mp", "r")
-_BLOCK_RULES = (
-    (frozenset({"pp"}), TypeConstraint.MUST_BE_PLUS),
-    (frozenset({"mm"}), TypeConstraint.MUST_BE_PLUS),
-    (frozenset({"pm"}), TypeConstraint.MUST_BE_MINUS),
-    (frozenset({"mp"}), TypeConstraint.MUST_BE_MINUS),
-)
-_GATED_RULES = (
-    (frozenset({"pp", "mm"}), TypeConstraint.MUST_BE_PLUS),
-    (frozenset({"pm", "mp"}), TypeConstraint.MUST_BE_MINUS),
-)
+_GATED_RULES = ((_SAME, TypeConstraint.MUST_BE_PLUS),
+                (_MIXED, TypeConstraint.MUST_BE_MINUS))
+_BLOCK_RULES = tuple((frozenset({tag}), constraint)
+                     for near, constraint in _GATED_RULES for tag in sorted(near))
 
 
 def _dist(z: complex, pts: np.ndarray) -> float:
@@ -294,24 +300,24 @@ def _dist(z: complex, pts: np.ndarray) -> float:
 
 def predict_types(f1: FactorSpec, f2: FactorSpec,
                   separation_radius: float | None = None,
-                  coalesce_tol: float = 1e-7,
-                  use_block_rules: bool | None = None) -> dict:
+                  coalesce_tol: float = 1e-7) -> dict:
     """Predicted type constraint for every point of the sum spectrum.
 
     Exclusion rules always apply: points of M0, and of the overlap of M+
     with M-, must be not definite; membership in M+ alone rules out
-    negative type, in M- alone positive type.  When both factors carry
-    definiteness certificates, block rules upgrade well-separated points
-    of the definite block spectra to exact type statements; a point
+    negative type, in M- alone positive type.  Block rules follow the
+    certificates: when both factors carry one, they upgrade well-separated
+    points of the definite block spectra to exact type statements; a point
     qualifies only if its distance to every other block spectrum exceeds
-    ``separation_radius`` (default 1e-4 times the sum's norm bound).
+    ``separation_radius`` (default 1e-4 times the sum's norm bound).  A
+    factor without a certificate (``make_factor_spec(...,
+    with_certificate=False)``) gives exclusion-only predictions.
     """
-    if use_block_rules is None:
-        use_block_rules = (f1.certificate is not None
-                           and f2.certificate is not None)
-    if use_block_rules and (f1.certificate is None or f2.certificate is None):
-        raise ValidationError("block rules need definiteness certificates "
-                              "on both factors")
+    return _predictions(f1, f2, separation_radius, coalesce_tol)[0]
+
+
+def _predictions(f1, f2, separation_radius, coalesce_tol):
+    """``predict_types``' constraints and the (rep, tags) sum groups."""
     scale = _norm2(f1.t) + _norm2(f2.t)
     if separation_radius is None:
         separation_radius = 1e-4 * max(1.0, scale)
@@ -321,8 +327,8 @@ def predict_types(f1: FactorSpec, f2: FactorSpec,
     blocks = {k: pts[tags == k] for k in _BLOCKS}
 
     block_rules = ()
-    if use_block_rules:
-        c1, c2 = f1.certificate, f2.certificate
+    c1, c2 = f1.certificate, f2.certificate
+    if c1 is not None and c2 is not None:
         lhs = (c1.kappa_cross * c2.kappa_cross) ** 2
         rhs = c1.kappa_plus * c2.kappa_plus * c1.kappa_minus * c2.kappa_minus
         gate = (not math.isnan(rhs)) and lhs < rhs
@@ -330,24 +336,14 @@ def predict_types(f1: FactorSpec, f2: FactorSpec,
 
     predicted = {}
     for rep, flags in groups:
-        rules = []
-        in_p = bool(flags & {"pp", "mm"})
-        in_m = bool(flags & {"pm", "mp"})
-        if (in_p and in_m) or not (in_p or in_m):
-            rules.append(TypeConstraint.MUST_BE_NOT_DEFINITE)
-        elif in_p:
-            rules.append(TypeConstraint.NOT_MINUS)
-        else:
-            rules.append(TypeConstraint.NOT_PLUS)
-
+        rules = [_EXCLUSION[bool(flags & _SAME), bool(flags & _MIXED)]]
         for near, constraint in block_rules:
             if flags & near and all(
                     _dist(rep, blocks[k]) > separation_radius
                     for k in _BLOCKS if k not in near):
                 rules.append(constraint)
-
         predicted[rep] = _merge_constraints(rules)
-    return predicted
+    return predicted, groups
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +378,6 @@ def oracle_classify_and_compare(f1: FactorSpec, f2: FactorSpec,
                                 cluster_gap: float | None = None,
                                 separation_radius: float | None = None,
                                 coalesce_tol: float = 1e-7,
-                                use_block_rules: bool | None = None,
                                 dim_cap: int = DIM_CAP) -> PredictionReport:
     """Classify the Kronecker sum directly and check every prediction.
 
@@ -401,24 +396,18 @@ def oracle_classify_and_compare(f1: FactorSpec, f2: FactorSpec,
                               eigvals=np.diag(R), failures=failures)
     oracle = ClassifiedSpectrum(tuple(entry for entry, _ in roots))
 
-    predicted = predict_types(f1, f2, separation_radius=separation_radius,
-                              coalesce_tol=coalesce_tol,
-                              use_block_rules=use_block_rules)
-    msets = predict_m_sets(f1.classification, f2.classification, coalesce_tol)
+    predicted, groups = _predictions(f1, f2, separation_radius, coalesce_tol)
+    msets = _m_sets(groups)
 
+    # a point with no oracle entry within the match tolerance is keyed -1
     match_tol = 5.0 * cluster_gap
     lams = oracle.all_points
     per_entry: dict[int, list[TypeConstraint]] = {}
-    unmatched = 0
     for point, constraint in predicted.items():
-        if len(lams) == 0:
-            unmatched += 1
-            continue
-        k = int(np.argmin(np.abs(lams - point)))
-        if abs(lams[k] - point) > match_tol:
-            unmatched += 1
-            continue
+        d = np.abs(lams - point)
+        k = int(np.argmin(d)) if d.size and d.min() <= match_tol else -1
         per_entry.setdefault(k, []).append(constraint)
+    unmatched = len(per_entry.pop(-1, ()))
 
     violations = []
     for k, constraints in per_entry.items():
@@ -608,9 +597,7 @@ def _sums_separated(f1: FactorSpec, f2: FactorSpec, gap: float) -> bool:
     """No two pairwise eigenvalue sums lie closer than ``gap`` (strictly)."""
     s = np.add.outer(f1.classification.all_points,
                      f2.classification.all_points).ravel()
-    close = np.abs(s[:, None] - s[None, :]) < gap
-    np.fill_diagonal(close, False)
-    return not close.any()
+    return gap <= 0 or len(_cluster_eigenvalues(s, np.nextafter(gap, 0))) == s.size
 
 
 def _campaign_instance(rng: np.random.Generator, kind: str):

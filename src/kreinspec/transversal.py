@@ -107,35 +107,38 @@ def exceptional_set(a: float, alpha0: float) -> frozenset:
     return frozenset()
 
 
+# The most lattice modes transversal_modes builds (each mode is a few
+# hundred bytes and one boundary check).
+MAX_LATTICE_MODES = 100_000
+
+
+def _min_lattice(a: float, alpha0: float) -> int:
+    """Lattice modes that must be present: the label n* of an exceptional
+    pair, else every lattice eigenvalue below alpha0^2, or the mu indices
+    (and with them the type assignments) come out shifted."""
+    exc = exceptional_set(a, alpha0)
+    return max(exc) if exc else math.floor(2.0 * a * abs(alpha0) / math.pi)
+
+
 def transversal_modes(a: float, alpha0: float, N: int) -> list[TransversalMode]:
     """Modes 0..N of the transversal operator at beta0 = 0, mu-sorted.
 
     Eigenvalues are alpha0^2 (label 0) and (pi n / 2a)^2 (labels 1..N).
     Ties at an exceptional alpha0 keep the label-0 mode first; both
     members of the degenerate pair are typed not definite, all other
-    types alternate positive/negative with the mu index.
+    types alternate positive/negative with the mu index.  N must cover
+    the lattice modes below alpha0^2 and stay within MAX_LATTICE_MODES.
     """
-    if a <= 0:
-        raise ValidationError(f"half-width a must be positive, got {a}")
-    if N < 1:
-        raise ValidationError(f"need N >= 1 modes, got N = {N}")
+    need = max(1, _min_lattice(a, alpha0))
+    if not need <= N <= MAX_LATTICE_MODES:
+        raise ValidationError(
+            f"need {need:.6g} <= N <= {MAX_LATTICE_MODES} lattice modes, "
+            f"got N = {N:.6g}")
     exc = exceptional_set(a, alpha0)
     lam0 = alpha0 * alpha0
     lattice = [(math.pi * n / (2.0 * a)) ** 2 for n in range(1, N + 1)]
     if exc:
-        n_star = max(exc)
-        if n_star > N:
-            raise ValidationError(
-                f"exceptional pair needs N >= {n_star}, got N = {N}")
-        lam0 = lattice[n_star - 1]  # snap the exact degeneracy
-    else:
-        # every lattice eigenvalue below lambda_0 must be present, or the
-        # mu indices (and with them the type assignments) come out shifted
-        below = math.floor(2.0 * a * abs(alpha0) / math.pi)
-        if N < below:
-            raise ValidationError(
-                f"label-0 eigenvalue sits above {below:.6g} lattice modes; "
-                f"need N >= {below:.6g}, got N = {N}")
+        lam0 = lattice[max(exc) - 1]  # snap the exact degeneracy
 
     raw = [(lam0, 0)] + [(lam, n) for n, lam in enumerate(lattice, start=1)]
     raw.sort(key=lambda p: (p[0], p[1] != 0, p[1]))
@@ -671,7 +674,8 @@ def waveguide_m_sets(a: float, alpha0: float, longitudinal,
     the full longitudinal spectrum; then sigma_pp = M+ minus the others,
     sigma_mm symmetrically, and sigma_00 = M0 together with the overlap of
     M+ and M-.  The mode cutoff is chosen (or validated, when ``n_modes``
-    is passed) so every layer below ``window_max`` is present.
+    is passed) so every layer below ``window_max`` is present, together
+    with the lattice modes below alpha0^2.
     """
     essential, points = longitudinal
     r_set = essential.union(RealLineSet.from_points(points))
@@ -684,16 +688,19 @@ def waveguide_m_sets(a: float, alpha0: float, longitudinal,
         raise ValidationError("window_max must be finite")
 
     lam_needed = window_max - r_min
-    auto = int(math.floor(2.0 * a * math.sqrt(max(lam_needed, 0.0)) / math.pi)) + 1
+    auto = 2.0 * a * math.sqrt(max(lam_needed, 0.0)) / math.pi
     if n_modes is None:
-        n_modes = auto
+        if not auto < MAX_LATTICE_MODES:
+            raise ValidationError(f"energy window {window_max:.6g} needs "
+                                  f"{auto:.6g} > {MAX_LATTICE_MODES} lattice modes")
+        n_modes = max(math.floor(auto) + 1, _min_lattice(a, alpha0))
+    modes = transversal_modes(a, alpha0, n_modes)
     lam_top = (math.pi * n_modes / (2.0 * a)) ** 2
     if lam_top + r_min <= window_max:
         raise ValidationError(
             f"energy window {window_max} exceeds the transversal cutoff "
             f"(lambda_{n_modes} = {lam_top:.6g} starts at {lam_top + r_min:.6g})")
 
-    modes = transversal_modes(a, alpha0, n_modes)
     by_type = {t: [m.lam for m in modes if m.type is t]
                for t in (SpectralType.POSITIVE, SpectralType.NEGATIVE,
                          SpectralType.NOT_DEFINITE)}

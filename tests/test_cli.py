@@ -81,6 +81,19 @@ class TestTransversalCommand:
             assert float(row[2]) == mode.indicator
             assert row[3] == mode.type.value
 
+    def test_lattice_modes_below_alpha0_squared_are_added(self, tmp_path):
+        # alpha0^2 = 10.24 lies above three lattice modes, so three rows
+        # need all three of them; they are --modes 4's first three rows
+        code, out = run_cli(["transversal", "--alpha0", "3.2", "--modes", "3"],
+                            tmp_path)
+        assert code == 0
+        _, _, rows = read_rows(out / "transversal.csv")
+        code, out4 = run_cli(["transversal", "--alpha0", "3.2", "--modes", "4"],
+                             tmp_path, sub="out4")
+        assert code == 0
+        assert rows == read_rows(out4 / "transversal.csv")[2][:3]
+        assert [r[0] for r in rows] == ["0", "1", "2"]
+
 
 class TestMsetsCommand:
     def test_documented_example(self, tmp_path):
@@ -112,6 +125,14 @@ class TestMsetsCommand:
         code, _ = run_cli(["msets", "--n-modes", "1"], tmp_path)
         assert code == 2
         assert "window" in capsys.readouterr().err
+
+    def test_exceptional_pair_above_the_window_is_added(self, tmp_path):
+        # alpha0^2 = 100 ties the tenth lattice mode, far above the window
+        # of 25: the automatic count takes ten lattice modes, not six
+        code, out = run_cli(["msets", "--alpha0", "10"], tmp_path)
+        assert code == 0
+        doc = json.loads((out / "msets.json").read_text())
+        assert len(doc["mu"]) == 11 and doc["exceptional"] == [9, 10]
 
 
 class TestSecularCommand:
@@ -228,6 +249,19 @@ class TestFiguresCommand:
         exceptional = [r for r in rows if float(r[0]) == 3.0]
         assert len(exceptional) == 4
         assert sum(r[3] == "not-definite" for r in exceptional) == 2
+
+    def test_fig1_adds_the_lattice_modes_below_alpha0_squared(self, tmp_path):
+        from kreinspec import transversal_modes
+        code, out = run_cli(["figures", "--which", "fig1", "--modes", "3",
+                             "--alpha0-max", "6"], tmp_path)
+        assert code == 0
+        _, _, rows = read_rows(out / "fig1.csv")
+        assert len(rows) == 3 * 60
+        for i in range(0, len(rows), 3):
+            alpha0 = float(rows[i][0])
+            modes = transversal_modes(math.pi / 2, alpha0, 10)[:3]
+            assert [(int(r[1]), float(r[2]), r[3]) for r in rows[i:i + 3]] == [
+                (m.mu_index, m.lam, m.type.value) for m in modes]
 
     def test_fig2_intervals_partition(self, tmp_path):
         code, out = run_cli(
@@ -427,6 +461,11 @@ class TestExitCodes:
         (["spectrum2d", "--nx", "8", "--ny", "8", "--lx", "1e-300"], 2),
         (["spectrum2d", "--nx", "8", "--ny", "8", "--bump-width", "1e-300",
           "--bump-height", "1"], 2),
+        (["transversal", "--modes", "100000000"], 2),
+        (["msets", "--window-max", "1e20"], 2),
+        (["msets", "--v0", "constant", "--v0-value=-1e308",
+          "--window-max", "1e308"], 2),
+        (["branches", "--samples", "1000000000"], 2),
     ])
     def test_extreme_finite_flags_exit_cleanly(self, tmp_path, capsys,
                                                args, code):
@@ -438,6 +477,25 @@ class TestExitCodes:
         assert len(err) < 200  # a huge count is not printed digit by digit
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, bound", [
+        (["branches", "--samples"], 100_000),
+        (["figures", "--which", "fig3", "--samples"], 100_000),
+        (["figures", "--which", "fig1", "--alpha0-samples"], 10_000),
+        (["figures", "--which", "fig1", "--modes"], 100),
+        (["pseudospectrum", "--mx"], 1_000),
+        (["pseudospectrum", "--my"], 1_000),
+        (["pseudospectrum", "--nx", "640", "--ny", "48", "--dense-cutoff"],
+         2_000),
+        (["tensor-check", "--instances"], 100_000),
+    ])
+    def test_huge_counts_are_refused_by_their_row(self, argv, bound):
+        # checked by resolve_config alone: a run would allocate
+        parse = build_parser().parse_args
+        with pytest.raises(ValidationError, match=f"at most {bound}$"):
+            resolve_config(parse(argv + [str(bound + 1)]))
+        key = argv[-1][2:].replace("-", "_")
+        assert resolve_config(parse(argv + [str(bound)]))[1][key] == bound
 
     @pytest.mark.parametrize("args", [
         ["transversal", "--out", "../../x.csv"],

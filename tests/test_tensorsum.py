@@ -4,6 +4,7 @@ Ground truth comes from instances constructed in canonical coordinates;
 the oracle route re-measures everything through Gram classification of
 the assembled sum, so agreement is a genuine two-route check.
 """
+import dataclasses
 import math
 
 import numpy as np
@@ -223,16 +224,15 @@ class TestPredictTypes:
                         classification=spectrum((1.0, POS)),
                         basis_plus=np.eye(1, dtype=complex),
                         basis_minus=np.zeros((1, 0)), certificate=None)
-        with pytest.raises(ValidationError, match="certificate"):
-            predict_types(f1, f2, use_block_rules=True)
-        # default silently falls back to exclusion rules only
+        # a factor without a certificate gives exclusion rules only
         predicted = predict_types(f1, f2)
         assert lookup(predicted, 1.0) is TypeConstraint.NOT_MINUS
 
     def test_exclusions_only_mode(self):
         f1 = diag_factor([(0.0, 1), (1.0, 1)])
         f2 = diag_factor([(1.0, 1), (2.0, -1)])
-        predicted = predict_types(f1, f2, use_block_rules=False)
+        f1, f2 = (dataclasses.replace(f, certificate=None) for f in (f1, f2))
+        predicted = predict_types(f1, f2)
         assert lookup(predicted, 1.0) is TypeConstraint.NOT_MINUS
         assert lookup(predicted, 2.0) is TypeConstraint.MUST_BE_NOT_DEFINITE
         assert lookup(predicted, 3.0) is TypeConstraint.NOT_PLUS
@@ -550,7 +550,7 @@ class TestCampaign:
                 classification=spectrum(*[(0.25 * x, POS) for x in
                                           rng.integers(-8, 9, rng.integers(1, 5))]))
                 for _ in range(2))
-            for gap in (0.25, 0.5):
+            for gap in (0.0, 0.25, 0.5):
                 assert _sums_separated(f1, f2, gap) == loop(f1, f2, gap)
         f1 = diag_factor([(0.0, 1), (0.5, 1)])
         f2 = diag_factor([(0.0, 1), (1.0, 1)])

@@ -429,6 +429,22 @@ class TestCertifiedSimpleCells:
             else:
                 assert abs(g - r) <= 1e-12
 
+    def test_double_root_cell_refines_once_with_its_multiplicity(
+            self, monkeypatch):
+        # the real double root k = 1 at alpha0 = 1, beta0 = 0 ends in one
+        # iso-size cell of winding 2, refined by one mult=2 Newton call
+        mults = []
+
+        def counted(f, fp, k0, mult, tol, **kw):
+            mults.append(mult)
+            return _newton_refine(f, fp, k0, mult, tol, **kw)
+
+        monkeypatch.setattr(transversal, "_newton_refine", counted)
+        roots = secular_roots(A_HALF, 1.0, 0.0, (0.9, 1.13, -0.1, 0.13))
+        assert len(roots) == 2
+        assert all(abs(k - 1.0) <= 1e-6 for k in roots)
+        assert mults.count(2) == 1
+
     def test_newton_leaving_its_cell_falls_back_to_bisection(self, monkeypatch):
         # the first simple cell is the lower half of the region; Newton is
         # made to land on the conjugate root, a root of F in the upper half
