@@ -30,6 +30,8 @@ import scipy.sparse.linalg
 
 from .errors import ContourError, NumericalError, ValidationError
 
+_TINY = np.finfo(float).tiny  # smallest normal double, as in zlacn2
+
 __all__ = [
     "SpectralType",
     "Involution",
@@ -61,7 +63,7 @@ def _norm2(A) -> float:
     if scipy.sparse.issparse(A):
         return float(scipy.sparse.linalg.norm(A, "fro"))
     A = np.asarray(A)
-    if A.size == 0:
+    if not A.any():  # zero or empty; NaN is nonzero
         return 0.0
     return float(np.linalg.norm(A, 2))
 
@@ -237,7 +239,7 @@ def _one_norm_estimate(apply, size: int) -> float:
     """
     def signs(y):
         a = np.abs(y)
-        big = a > np.finfo(float).tiny
+        big = a > _TINY
         out = np.ones(size, dtype=complex)
         out.real[big] = y.real[big] / a[big]
         out.imag[big] = y.imag[big] / a[big]
@@ -245,59 +247,62 @@ def _one_norm_estimate(apply, size: int) -> float:
 
     try:
         v = apply(np.full(size, 1.0 / size, dtype=complex), False)
-        est = float(np.sum(np.abs(v)))
+        est = float(np.abs(v).sum())
         if size == 1:
             return est
-        j = int(np.argmax(np.abs(apply(signs(v), True))))
+        j = int(np.abs(apply(signs(v), True)).argmax())
+        e_j = np.zeros(size, dtype=complex)
         for _ in range(4):
-            v = apply(np.eye(1, size, j, dtype=complex)[0], False)
-            est, old = float(np.sum(np.abs(v))), est
+            e_j[:], e_j[j] = 0.0, 1.0
+            v = apply(e_j, False)
+            est, old = float(np.abs(v).sum()), est
             if est <= old:
                 break
             y = np.abs(apply(signs(v), True))
-            j, last = int(np.argmax(y)), j
+            j, last = int(y.argmax()), j
             if y[last] == y[j]:
                 break
         alt = (1.0 + np.arange(size) / (size - 1)) * (-1.0) ** np.arange(size)
         v = apply(alt.astype(complex), False)
     except OverflowError:
         return math.inf
-    return max(est, 2.0 * (float(np.sum(np.abs(v))) / (3 * size)))
+    return max(est, 2.0 * (float(np.abs(v).sum()) / (3 * size)))
 
 
 def _condition(R, m: int) -> tuple[float, float]:
     """ztrsen's ``s`` and ``sep`` for the leading m-by-m block of Schur R.
 
     With R = [[R11, R12], [0, R22]], X solves R11 X - X R22 = R12 one row
-    at a time (row i is a triangular solve with R11[i, i] I - R22), so
-    s = 1/sqrt(1 + ||X||_F^2); sep is one over zlacn2's estimate of the
-    one-norm of the inverse Sylvester map, applied the same way.  Where
-    a solve is not finite (ztrsyl would rescale) the estimate reads 0.
+    at a time, each a triangular solve (ztrtrs) with R11[i, i] I - R22,
+    whose diagonals are formed once per call; s = 1/sqrt(1 + ||X||_F^2)
+    and sep is one over zlacn2's estimate of the one-norm of the inverse
+    Sylvester map, applied the same way.  Where a solve is not finite
+    (ztrsyl would rescale) the estimate reads 0.
     """
     n = R.shape[0]
     if m == n:
         return 1.0, float(np.max(np.sum(np.abs(R), axis=0)))
     R11, R12 = R[:m, :m], R[:m, m:]
-    # R22 - R11[i, i] I, one row's shift at a time on a copy of R22; the
-    # solves below take the negated equations
+    # row i's diagonal goes into a copy of R22; solves take negated equations
     shifted = R[m:, m:].copy(order="F")
-    diag22 = np.diag(shifted).copy()
+    shifts = np.diag(shifted)[None, :] - np.diag(R11)[:, None]
     diagonal = shifted.ravel(order="F")[::n - m + 1]
 
     def solve(C, adjoint):
         """X with R11 X - X R22 = C, or the adjoint map's solution."""
         X = np.empty_like(C)
         for i in (range(m) if adjoint else range(m - 1, -1, -1)):
-            diagonal[:] = diag22 - R11[i, i]
-            if adjoint:
-                rhs = (C[i] - R11[:i, i].conj() @ X[:i]).conj()
-            else:
-                rhs = C[i] - R11[i, i + 1:] @ X[i + 1:]
-            x, info = scipy.linalg.lapack.ztrtrs(shifted, rhs[:, None],
-                                                 trans=0 if adjoint else 1)
+            diagonal[:] = shifts[i]
+            rhs = C[i]
+            if adjoint and i:
+                rhs = rhs - R11[:i, i].conj() @ X[:i]
+            elif not adjoint and i < m - 1:
+                rhs = rhs - R11[i, i + 1:] @ X[i + 1:]
+            x, info = scipy.linalg.lapack.ztrtrs(
+                shifted, rhs.conj() if adjoint else rhs, trans=0 if adjoint else 1)
             if info:
                 raise OverflowError
-            X[i] = -x[:, 0].conj() if adjoint else -x[:, 0]
+            X[i] = -x.conj() if adjoint else -x
         if not np.all(np.isfinite(X)):
             raise OverflowError
         return X
@@ -325,11 +330,11 @@ def _root_entry(R, Z, Jm, eigvals, idx, scale, tol):
     the cluster's root subspace.  Returns the entry and B, a copy, so a
     kept basis does not hold the whole reordered Z.
     """
-    members = eigvals[idx]
-    others = np.delete(eigvals, idx)
-    center = complex(np.mean(members))
-    d_in = float(np.max(np.abs(members - center)))
-    d_out = float(np.min(np.abs(others - center))) if len(others) else math.inf
+    center = complex(np.mean(eigvals[idx]))
+    dist = np.abs(eigvals - center)
+    d_in = float(dist[idx].max())
+    dist[idx] = math.inf
+    d_out = float(dist.min())
     # past d_in = 0.94 d_out the separating circle of radius (d_in + d_out)/2
     # passes within 3 % of its radius of an eigenvalue
     if (d_out - d_in <= max(1e-12 * scale, 4.0 * d_in * 1e-10)
@@ -338,7 +343,7 @@ def _root_entry(R, Z, Jm, eigvals, idx, scale, tol):
             f"cannot isolate cluster at {center:.6g}: extent {d_in:.3e} "
             f"vs nearest outside eigenvalue {d_out:.3e}")
 
-    n, m = R.shape[0], len(members)
+    n, m = R.shape[0], len(idx)
     select = np.abs(np.diag(R) - center) < 0.5 * (d_in + d_out)
     if np.count_nonzero(select) != m:
         raise NumericalError(
@@ -361,7 +366,7 @@ def _root_entry(R, Z, Jm, eigvals, idx, scale, tol):
 
     G = B.conj().T @ Jm @ B
     G = 0.5 * (G + G.conj().T)
-    gram_eigs = scipy.linalg.eigh(G, eigvals_only=True)
+    gram_eigs = np.linalg.eigvalsh(G)
     if np.all(gram_eigs > tol):
         t = SpectralType.POSITIVE
     elif np.all(gram_eigs < -tol):
@@ -371,7 +376,8 @@ def _root_entry(R, Z, Jm, eigvals, idx, scale, tol):
 
     # the leading block is T restricted to the root subspace
     geo_tol = max(tol * max(1.0, scale), 8.0 * d_in)
-    sv = np.linalg.svd(R[:m, :m] - center * np.eye(m), compute_uv=False)
+    sv = (np.linalg.svd(R[:m, :m] - center * np.eye(m), compute_uv=False)
+          if m > 1 else np.zeros(0))  # one root: the count is clamped to 1
     geo_mult = min(max(int(np.count_nonzero(sv <= geo_tol)), 1), m)
 
     entry = SpectrumEntry(lam=center, alg_mult=m, geo_mult=geo_mult, type=t,

@@ -210,12 +210,8 @@ class MSets(NamedTuple):
     m_zero: object
 
 
-def _tag(t1: SpectralType, t2: SpectralType) -> str:
-    if t1 is _0 or t2 is _0:
-        return "r"
-    a = "p" if t1 is _P else "m"
-    b = "p" if t2 is _P else "m"
-    return a + b
+# type-pair tags: "pp", "pm", "mp", "mm", or "r" through a not-definite point
+_SIGN = {_P: "p", _M: "m"}
 
 
 def _check_typed(c: ClassifiedSpectrum):
@@ -233,7 +229,8 @@ def _sum_groups(c1: ClassifiedSpectrum, c2: ClassifiedSpectrum,
     pairs = [(e1, e2) for e1 in c1.entries for e2 in c2.entries]
     pts = np.array([complex(e1.lam) + complex(e2.lam) for e1, e2 in pairs],
                    dtype=complex)
-    tags = np.array([_tag(e1.type, e2.type) for e1, e2 in pairs], dtype="U2")
+    tags = np.array(["r" if _0 in (e1.type, e2.type) else
+                     _SIGN[e1.type] + _SIGN[e2.type] for e1, e2 in pairs], dtype="U2")
     groups = sorted(((complex(np.mean(pts[i])), frozenset(tags[i].tolist()))
                      for i in _cluster_eigenvalues(pts, coalesce_tol)),
                     key=lambda g: (g[0].real, g[0].imag))
@@ -294,10 +291,6 @@ _BLOCK_RULES = tuple((frozenset({tag}), constraint)
                      for near, constraint in _GATED_RULES for tag in sorted(near))
 
 
-def _dist(z: complex, pts: np.ndarray) -> float:
-    return float(np.min(np.abs(pts - z))) if len(pts) else math.inf
-
-
 def predict_types(f1: FactorSpec, f2: FactorSpec,
                   separation_radius: float | None = None,
                   coalesce_tol: float = 1e-7) -> dict:
@@ -324,7 +317,10 @@ def _predictions(f1, f2, separation_radius, coalesce_tol):
 
     pts, tags, groups = _sum_groups(f1.classification, f2.classification,
                                     coalesce_tol)
-    blocks = {k: pts[tags == k] for k in _BLOCKS}
+    # per block, whether each group's representative is beyond the radius
+    reps = np.array([rep for rep, _ in groups], dtype=complex)[:, None]
+    far = {k: np.abs(pts[tags == k] - reps).min(axis=1, initial=math.inf)
+           > separation_radius for k in _BLOCKS}
 
     block_rules = ()
     c1, c2 = f1.certificate, f2.certificate
@@ -335,12 +331,10 @@ def _predictions(f1, f2, separation_radius, coalesce_tol):
         block_rules = _BLOCK_RULES + (_GATED_RULES if gate else ())
 
     predicted = {}
-    for rep, flags in groups:
+    for g, (rep, flags) in enumerate(groups):
         rules = [_EXCLUSION[bool(flags & _SAME), bool(flags & _MIXED)]]
         for near, constraint in block_rules:
-            if flags & near and all(
-                    _dist(rep, blocks[k]) > separation_radius
-                    for k in _BLOCKS if k not in near):
+            if flags & near and all(far[k][g] for k in _BLOCKS if k not in near):
                 rules.append(constraint)
         predicted[rep] = _merge_constraints(rules)
     return predicted, groups
@@ -455,11 +449,8 @@ def random_involution(rng: np.random.Generator, n: int,
     if kind == "flip":
         J = np.zeros((n, n))
         order = rng.permutation(n)
-        i = 0
-        while i + 1 < n:
-            a, b = order[i], order[i + 1]
-            J[a, b] = J[b, a] = 1.0
-            i += 2
+        a, b = order[0:n - 1:2], order[1:n:2]  # consecutive pairs swap
+        J[a, b] = J[b, a] = 1.0
         if n % 2:
             J[order[-1], order[-1]] = rng.choice([-1.0, 1.0])
         return J

@@ -338,7 +338,6 @@ def _certified_winding(f, rect, phase_rate: float = 0.0,
         except RootCertificationError:
             if i == tries - 1:
                 raise
-    raise RootCertificationError("unreachable")
 
 
 def _newton_refine(f, fp, k0: complex, mult: int, tol: float,
@@ -401,8 +400,16 @@ def _subdivide(f, fp, rect, w, tol, iso, phase_rate):
             continue
         if w1 + w2 != w:
             continue
-        return _subdivide(f, fp, r1, w1, tol, iso, phase_rate) \
-            + _subdivide(f, fp, r2, w2, tol, iso, phase_rate)
+        roots = (_subdivide(f, fp, r1, w1, tol, iso, phase_rate)
+                 + _subdivide(f, fp, r2, w2, tol, iso, phase_rate))
+        if w1 == w2 == 1 and abs(roots[0] - roots[1]) <= iso:
+            # a double root split by rounding across the cut winds twice
+            k = 0.5 * (roots[0] + roots[1])
+            box = (k.real - iso, k.real + iso, k.imag - iso, k.imag + iso)
+            with suppress(RootCertificationError):
+                if _winding_number(f, box, phase_rate) == 2:
+                    return [_newton_refine(f, fp, k, 2, tol)] * 2
+        return roots
     raise RootCertificationError(
         f"could not split cell {rect} without losing certification")
 
@@ -411,14 +418,14 @@ def secular_roots(a: float, alpha0: float, beta0: float,
                   region: Sequence[float], tol: float = 1e-12) -> list[complex]:
     """All roots of the secular function in a rectangle, multiplicity included.
 
-    The total count is certified by the argument principle on the region
-    boundary (with slight outward perturbation retries if a root sits on
-    it) and cells are bisected; a cell that winds once ends at Newton's
-    point if it lies inside and a box of diagonal iso (1e-5 of the region's)
-    around it winds once.  Other cells bisect down to diagonal iso, where a
-    multiplicity-aware Newton iteration polishes each root to |F| <= tol.
-    The rectangle must exclude k = 0, which is always a trivial zero of F
-    (the k <-> -k symmetry artifact).
+    The count is certified by the argument principle on the region boundary
+    (retried slightly outward if a root sits on it) and cells are bisected;
+    a cell that winds once ends at Newton's point if it lies inside and a
+    box of diagonal iso (1e-5 of the region's) around it winds once, and two
+    such points within iso across a cut are one double root if a box around
+    both winds twice.  Other cells bisect to diagonal iso, where Newton with
+    the multiplicity polishes each root to |F| <= tol.  The rectangle must
+    exclude k = 0, a trivial zero of F (the k <-> -k symmetry artifact).
     """
     if a <= 0:
         raise ValidationError(f"half-width a must be positive, got {a}")
@@ -478,24 +485,20 @@ def branch_curves(a: float, alpha0: float, beta0_samples: Sequence[float],
     if not seeds:
         raise ValidationError("need at least one seed root")
 
+    def collide(ks):
+        return any(abs(x - y) <= collision_radius
+                   for i, x in enumerate(ks) for y in ks[i + 1:])
+
     f0, fp0 = _make_secular(a, alpha0, samples[0])
     current = [_newton_refine(f0, fp0, s, 1, tol) for s in seeds]
-    for i, x in enumerate(current):
-        for y in current[i + 1:]:
-            if abs(x - y) <= collision_radius:
-                raise ValidationError("seed roots are not distinct branches")
+    if collide(current):
+        raise ValidationError("seed roots are not distinct branches")
 
     def advance(b_from, b_to, ks, depth):
         f, fp = _make_secular(a, alpha0, b_to)
-        try:
+        with suppress(RootCertificationError):  # Newton failed: bisect
             new = [_newton_refine(f, fp, k, 1, tol) for k in ks]
-        except RootCertificationError:
-            new = None
-        if new is not None:
-            collision = any(abs(new[i] - new[j]) <= collision_radius
-                            for i in range(len(new))
-                            for j in range(i + 1, len(new)))
-            if not collision:
+            if not collide(new):
                 return new
         if depth >= max_bisections:
             raise NumericalError(

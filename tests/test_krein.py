@@ -856,3 +856,246 @@ class TestConditionAgainstZtrsen:
         assert ztrsen_b(np.eye(1, n, 0, dtype=bool)[0], T, np.eye(n))[2:] == (0.0, 0.0)
         with pytest.raises(NumericalError, match="ill-conditioned"):
             classify_point(T, np.eye(n), 1e-7, eigvals=np.diag(T))
+
+
+# The kernel as it was before each cluster's shifts, right-hand sides and
+# Gram eigenvalues were computed once: the reference the kernel must match
+# bit for bit.
+
+def reference_one_norm_estimate(apply, size):
+    def signs(y):
+        a = np.abs(y)
+        big = a > np.finfo(float).tiny
+        out = np.ones(size, dtype=complex)
+        out.real[big] = y.real[big] / a[big]
+        out.imag[big] = y.imag[big] / a[big]
+        return out
+
+    try:
+        v = apply(np.full(size, 1.0 / size, dtype=complex), False)
+        est = float(np.sum(np.abs(v)))
+        if size == 1:
+            return est
+        j = int(np.argmax(np.abs(apply(signs(v), True))))
+        for _ in range(4):
+            v = apply(np.eye(1, size, j, dtype=complex)[0], False)
+            est, old = float(np.sum(np.abs(v))), est
+            if est <= old:
+                break
+            y = np.abs(apply(signs(v), True))
+            j, last = int(np.argmax(y)), j
+            if y[last] == y[j]:
+                break
+        alt = (1.0 + np.arange(size) / (size - 1)) * (-1.0) ** np.arange(size)
+        v = apply(alt.astype(complex), False)
+    except OverflowError:
+        return math.inf
+    return max(est, 2.0 * (float(np.sum(np.abs(v))) / (3 * size)))
+
+
+def reference_condition(R, m):
+    n = R.shape[0]
+    if m == n:
+        return 1.0, float(np.max(np.sum(np.abs(R), axis=0)))
+    R11, R12 = R[:m, :m], R[:m, m:]
+    shifted = R[m:, m:].copy(order="F")
+    diag22 = np.diag(shifted).copy()
+    diagonal = shifted.ravel(order="F")[::n - m + 1]
+
+    def solve(C, adjoint):
+        X = np.empty_like(C)
+        for i in (range(m) if adjoint else range(m - 1, -1, -1)):
+            diagonal[:] = diag22 - R11[i, i]
+            if adjoint:
+                rhs = (C[i] - R11[:i, i].conj() @ X[:i]).conj()
+            else:
+                rhs = C[i] - R11[i, i + 1:] @ X[i + 1:]
+            x, info = scipy.linalg.lapack.ztrtrs(shifted, rhs[:, None],
+                                                 trans=0 if adjoint else 1)
+            if info:
+                raise OverflowError
+            X[i] = -x[:, 0].conj() if adjoint else -x[:, 0]
+        if not np.all(np.isfinite(X)):
+            raise OverflowError
+        return X
+
+    def apply(x, adjoint):
+        return solve(x.reshape(m, n - m, order="F"), adjoint).ravel(order="F")
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            rnorm = float(scipy.linalg.blas.dznrm2(solve(R12, False).ravel()))
+        except OverflowError:
+            rnorm = math.inf
+        s = 1.0 if rnorm == 0.0 else 1.0 / (math.sqrt(1.0 / rnorm + rnorm)
+                                             * math.sqrt(rnorm))
+        sep = 1.0 / reference_one_norm_estimate(apply, m * (n - m))
+    return s, sep
+
+
+def reference_root_entry(R, Z, Jm, eigvals, idx, scale, tol):
+    members = eigvals[idx]
+    others = np.delete(eigvals, idx)
+    center = complex(np.mean(members))
+    d_in = float(np.max(np.abs(members - center)))
+    d_out = float(np.min(np.abs(others - center))) if len(others) else math.inf
+    if (d_out - d_in <= max(1e-12 * scale, 4.0 * d_in * 1e-10)
+            or d_in > 0.94 * d_out):
+        raise ContourError("cannot isolate cluster")
+    n, m = R.shape[0], len(members)
+    select = np.abs(np.diag(R) - center) < 0.5 * (d_in + d_out)
+    if np.count_nonzero(select) != m:
+        raise NumericalError("Schur form holds another count")
+    R, Z, _, _, _, _, info = scipy.linalg.lapack.ztrsen(select, R, Z, job="N")
+    if info:
+        raise NumericalError("Schur reordering failed")
+    s, sep = reference_condition(R, m)
+    if m < n and s * sep <= 1e-8 * max(1.0, scale):
+        raise NumericalError("root subspace is ill-conditioned")
+    B = Z[:, :m].copy()
+    G = B.conj().T @ Jm @ B
+    G = 0.5 * (G + G.conj().T)
+    gram_eigs = scipy.linalg.eigh(G, eigvals_only=True)
+    if np.all(gram_eigs > tol):
+        t = SpectralType.POSITIVE
+    elif np.all(gram_eigs < -tol):
+        t = SpectralType.NEGATIVE
+    else:
+        t = SpectralType.NOT_DEFINITE
+    geo_tol = max(tol * max(1.0, scale), 8.0 * d_in)
+    sv = np.linalg.svd(R[:m, :m] - center * np.eye(m), compute_uv=False)
+    geo_mult = min(max(int(np.count_nonzero(sv <= geo_tol)), 1), m)
+    entry = krein.SpectrumEntry(lam=center, alg_mult=m, geo_mult=geo_mult,
+                                type=t, gram_eigs=gram_eigs, s=float(s),
+                                sep=float(sep))
+    return entry, B
+
+
+def same_root(a, b):
+    """Bitwise equality of two (entry, basis) pairs, gram_eigs by bytes."""
+    (ea, Ba), (eb, Bb) = a, b
+    return (same_entry(ea, eb) and ea.gram_eigs.tobytes() == eb.gram_eigs.tobytes()
+            and ea.gram_eigs.dtype == eb.gram_eigs.dtype
+            and Ba.shape == Bb.shape and Ba.tobytes() == Bb.tobytes())
+
+
+def outcome(fn, *args):
+    """A call's result, or the class of the engine error it raised."""
+    try:
+        return fn(*args)
+    except (ContourError, NumericalError) as exc:
+        return type(exc)
+
+
+class TestKernelAgainstReference:
+    """``_condition``, ``_one_norm_estimate`` and ``_root_entry`` against
+    the reference kernel above: every number bitwise the same."""
+
+    @staticmethod
+    def clustered_schur(rng, n, m):
+        """Schur form of a non-normal matrix whose first m eigenvalues sit
+        within 1e-9 of 0.3 + 0.2i and whose others are spread over
+        [-3, 3] + [-3, 3]i, 0.1 clear of the cluster.  The cluster's own
+        block is diagonal, so rounding cannot scatter it."""
+        eigs = 0.3 + 0.2j + 1e-9 * (rng.standard_normal(n)
+                                    + 1j * rng.standard_normal(n))
+        for i in range(m, n):
+            while abs(eigs[i] - 0.3 - 0.2j) < 0.1:
+                eigs[i] = complex(*rng.uniform(-3.0, 3.0, 2))
+        U = np.triu(rng.standard_normal((n, n))
+                    + 1j * rng.standard_normal((n, n)), 1) / n
+        U[:m, :m] = 0.0
+        Q = np.linalg.qr(rng.standard_normal((n, n))
+                         + 1j * rng.standard_normal((n, n)))[0]
+        T = Q @ (np.diag(eigs) + U) @ Q.conj().T
+        R, Z = scipy.linalg.schur(T, output="complex")
+        return T, R, Z
+
+    @pytest.mark.parametrize("n", [2, 5, 30, 144])
+    def test_random_schur_forms(self, n):
+        rng = np.random.default_rng(100 + n)
+        Jm = np.diag(rng.choice([-1.0, 1.0], size=n)).astype(complex)
+        for m in sorted({1, 2, 3, n} & set(range(1, n + 1))):
+            T, R, Z = self.clustered_schur(rng, n, m)
+            for k in (m, n - m):
+                if 0 < k <= n:
+                    assert krein._condition(R, k) == reference_condition(R, k)
+            eigvals = np.diag(R)
+            idx = np.flatnonzero(np.abs(eigvals - 0.3 - 0.2j) < 0.05)
+            assert idx.size == m
+            args = (R, Z, Jm, eigvals, idx, _norm2(T), 1e-8)
+            got = outcome(krein._root_entry, *args)
+            want = outcome(reference_root_entry, *args)
+            if isinstance(want, tuple):
+                assert same_root(got, want)
+            else:
+                assert got is want
+
+    def test_overflowing_solve(self):
+        n = 50
+        T = np.diag(np.ones(n - 1), 1).astype(complex)
+        T[0, 0] = 1e-7
+        assert krein._condition(T, 1) == reference_condition(T, 1) == (0.0, 0.0)
+        args = (T, np.eye(n), np.eye(n, dtype=complex), np.diag(T),
+                np.array([0]), _norm2(T), 1e-8)
+        assert outcome(krein._root_entry, *args) is NumericalError
+        assert outcome(reference_root_entry, *args) is NumericalError
+
+    @staticmethod
+    def both(monkeypatch, T, J, **kw):
+        monkeypatch.setattr(krein, "_factors", None)
+        got = _classified_roots(T, J, **kw)
+        monkeypatch.setattr(krein, "_root_entry", reference_root_entry)
+        want = _classified_roots(T, J, **kw)
+        monkeypatch.undo()
+        return got, want
+
+    @pytest.mark.parametrize("seed, dim", [(3, 60), (4, 144)])
+    def test_campaign_sums(self, monkeypatch, seed, dim):
+        S, J = kron_sum(*_campaign_instance(np.random.default_rng(seed), "big"))
+        assert S.shape == (dim, dim)
+        got, want = self.both(monkeypatch, S, J, cluster_gap=1e-6 * _norm2(S))
+        assert len(got) == len(want) == dim
+        assert all(same_root(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("alpha0", [0.5, 1.7, 3.3])
+    def test_robin_operator(self, monkeypatch, alpha0):
+        T, J = robin_fd(A_STRIP, 1j * alpha0, 121)
+        got, want = self.both(monkeypatch, T, J)
+        assert len(got) == len(want) == 121
+        assert all(same_root(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_norm_estimate_sees_the_same_vectors(self, seed):
+        # a dense map with complex entries of many magnitudes; every vector
+        # the estimate applies it to, the sign vectors included, must be
+        # the reference's bit for bit, not just the estimate
+        rng = np.random.default_rng(seed)
+        A = (rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))) \
+            * np.exp(rng.uniform(-5, 5, (40, 40)))
+
+        def recorder(seen):
+            def apply(x, adjoint):
+                seen.append((adjoint, x.tobytes()))
+                return (A.conj().T if adjoint else A) @ x
+            return apply
+
+        got, want = [], []
+        assert (krein._one_norm_estimate(recorder(got), 40)
+                == reference_one_norm_estimate(recorder(want), 40))
+        assert got == want and any(adjoint for adjoint, _ in got)
+
+
+class TestNorm2:
+    def test_zero_empty_and_nan(self):
+        assert _norm2(np.zeros((144, 144), dtype=complex)) == 0.0
+        assert _norm2(-np.zeros((3, 3))) == 0.0
+        assert _norm2(np.zeros((0, 0))) == 0.0
+        assert _norm2(np.zeros((3, 0))) == 0.0
+        tiny = np.zeros((4, 4))
+        tiny[2, 1] = 5e-324
+        assert _norm2(tiny) == 5e-324
+        nan = np.zeros((3, 3))
+        nan[1, 1] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):  # NaN reaches the SVD
+            _norm2(nan)

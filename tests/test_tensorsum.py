@@ -28,7 +28,15 @@ from kreinspec import (
 )
 from kreinspec.krein import DefinitenessCertificate, _classified_roots, _norm2
 from kreinspec.tensorsum import (
+    _BLOCK_RULES,
+    _BLOCKS,
     _CAMPAIGN_CYCLE,
+    _EXCLUSION,
+    _GATED_RULES,
+    _MIXED,
+    _SAME,
+    _merge_constraints,
+    _sum_groups,
     FactorSpec,
     _campaign_instance,
     _sums_separated,
@@ -258,6 +266,57 @@ class TestPredictTypes:
                           certificate=gate_off) for f in (f1, f2)]
         predicted_off = predict_types(off[0], off[1])
         assert lookup(predicted_off, 1.0) is TypeConstraint.NOT_MINUS
+
+
+def dist_loop_predictions(f1, f2, separation_radius, coalesce_tol=1e-7):
+    """predict_types with one distance per group, rule and other block."""
+    def dist(z, pts):
+        return float(np.min(np.abs(pts - z))) if len(pts) else math.inf
+
+    if separation_radius is None:
+        separation_radius = 1e-4 * max(1.0, _norm2(f1.t) + _norm2(f2.t))
+    pts, tags, groups = _sum_groups(f1.classification, f2.classification,
+                                    coalesce_tol)
+    blocks = {k: pts[tags == k] for k in _BLOCKS}
+    rules_on = ()
+    c1, c2 = f1.certificate, f2.certificate
+    if c1 is not None and c2 is not None:
+        lhs = (c1.kappa_cross * c2.kappa_cross) ** 2
+        rhs = c1.kappa_plus * c2.kappa_plus * c1.kappa_minus * c2.kappa_minus
+        gate = (not math.isnan(rhs)) and lhs < rhs
+        rules_on = _BLOCK_RULES + (_GATED_RULES if gate else ())
+    predicted = {}
+    for rep, flags in groups:
+        rules = [_EXCLUSION[bool(flags & _SAME), bool(flags & _MIXED)]]
+        for near, constraint in rules_on:
+            if flags & near and all(dist(rep, blocks[k]) > separation_radius
+                                    for k in _BLOCKS if k not in near):
+                rules.append(constraint)
+        predicted[rep] = _merge_constraints(rules)
+    return predicted
+
+
+class TestPredictionDistances:
+    """``predict_types`` takes one distance array per block; a loop over
+    groups, rules and blocks is the reference."""
+
+    def test_campaign_instances(self):
+        rng = np.random.default_rng(77)
+        for k in range(40):
+            f1, f2 = _campaign_instance(rng, _CAMPAIGN_CYCLE[k % len(_CAMPAIGN_CYCLE)])
+            for radius in (None, 0.05, 0.3):
+                got = predict_types(f1, f2, radius)
+                want = dist_loop_predictions(f1, f2, radius)
+                assert list(got.items()) == list(want.items())
+
+    def test_distance_equal_to_radius_is_not_beyond(self):
+        f1 = diag_factor([(0.0, 1), (0.5, -1)])
+        f2 = diag_factor([(0.0, 1), (0.25, -1)])
+        for radius in (0.25, np.nextafter(0.25, 0.0)):
+            got = predict_types(f1, f2, radius)
+            assert list(got.items()) == list(dist_loop_predictions(f1, f2, radius).items())
+        assert set(predict_types(f1, f2, 0.25).values()) != set(
+            predict_types(f1, f2, np.nextafter(0.25, 0.0)).values())
 
 
 class TestOracleCompare:

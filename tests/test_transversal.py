@@ -445,6 +445,18 @@ class TestCertifiedSimpleCells:
         assert all(abs(k - 1.0) <= 1e-6 for k in roots)
         assert mults.count(2) == 1
 
+    @pytest.mark.parametrize("region", [(0.93, 1.21, -0.17, 0.11),
+                                        (0.5, 3.5, -0.5, 0.5),
+                                        (0.9, 1.13, -0.1, 0.13)])
+    def test_double_root_split_across_a_cut_is_one_root(self, region):
+        # k = 1 is a real double root at alpha0 = 1, beta0 = 0; in the first
+        # two regions a cut passes about 1e-7 from it, and rounding once left
+        # two distinct complex roots there, one in each half
+        roots = secular_roots(A_HALF, 1.0, 0.0, region)
+        near = [k for k in roots if abs(k - 1.0) <= 1e-6]
+        assert len(near) == 2 and near[0] == near[1]
+        assert abs(secular_value(near[0], A_HALF, 1.0, 0.0)) <= 1e-12
+
     def test_newton_leaving_its_cell_falls_back_to_bisection(self, monkeypatch):
         # the first simple cell is the lower half of the region; Newton is
         # made to land on the conjugate root, a root of F in the upper half
