@@ -40,7 +40,7 @@ __all__ = ["RunConfig", "main"]
 DEFAULT_TOLERANCES = {
     "gram": 1e-8,          # Gram-matrix eigenvalue cutoff for type calls
     "residual": 1e-8,      # relative eigenpair residual bound
-    "set_endpoint": 1e-12,  # interval endpoint comparison tolerance
+    "set_endpoint": 1e-12,  # hashed but unused: realsets is exact
 }
 
 UNITS_NOTE = ("a and x, y are lengths in a common unit; spectral values "

@@ -68,6 +68,13 @@ def _norm2(A) -> float:
     return float(np.linalg.norm(A, 2))
 
 
+def _require_finite(**matrices) -> None:
+    """ValidationError unless every entry (every stored one, if sparse) is finite."""
+    for name, A in matrices.items():
+        if not np.isfinite(A.data if scipy.sparse.issparse(A) else A).all():
+            raise ValidationError(f"{name} has a non-finite entry")
+
+
 @dataclass(frozen=True, eq=False)
 class Involution:
     """A validated symmetric involution; build via ``validate_involution``."""
@@ -89,6 +96,7 @@ def validate_involution(J, tol: float = 1e-10) -> Involution:
     J = _as_matrix(J)
     if J.ndim != 2 or J.shape[0] != J.shape[1]:
         raise ValidationError(f"involution must be square, got shape {J.shape}")
+    _require_finite(J=J)
     if scipy.sparse.issparse(J):
         sym = _norm2(J - J.conj().T)
         invol = _norm2((J @ J - scipy.sparse.identity(J.shape[0], format="csr",
@@ -107,6 +115,7 @@ def validate_involution(J, tol: float = 1e-10) -> Involution:
 def j_self_adjoint_defect(T, J) -> float:
     """||T - J T* J|| in spectral norm (Frobenius bound when sparse)."""
     Jm = _as_matrix(J)
+    _require_finite(T=T, J=Jm)
     if scipy.sparse.issparse(T) or scipy.sparse.issparse(Jm):
         return _norm2(T - Jm @ T.conj().T @ Jm)
     T = np.asarray(T, dtype=complex)
@@ -157,7 +166,7 @@ class ClassifiedSpectrum:
 # ---------------------------------------------------------------------------
 
 def riesz_projection(T: np.ndarray, center: complex, radius: float,
-                     nodes: int = 64, margin: float | None = None,
+                     nodes: int = 64,
                      eigvals: np.ndarray | None = None) -> np.ndarray:
     """Spectral projection onto eigenvalues inside the given circle.
 
@@ -165,18 +174,18 @@ def riesz_projection(T: np.ndarray, center: complex, radius: float,
     rule converges geometrically in the node count with rate set by the
     distance from the contour to the nearest eigenvalue.  If ``eigvals``
     is supplied, the contour is rejected when an eigenvalue comes within
-    ``margin`` (default radius/100) of it.
+    radius/100 of it.
     """
     T = np.asarray(T, dtype=complex)
     n = T.shape[0]
     if T.ndim != 2 or T.shape[1] != n:
         raise ValidationError(f"matrix must be square, got shape {T.shape}")
+    _require_finite(T=T)
     if not (radius > 0 and math.isfinite(radius)):
         raise ValidationError(f"contour radius must be positive and finite, got {radius}")
     if nodes < 16:
         raise ValidationError(f"need at least 16 quadrature nodes, got {nodes}")
-    if margin is None:
-        margin = radius / 100.0
+    margin = radius / 100.0
     if eigvals is not None:
         gap = np.abs(np.abs(np.asarray(eigvals) - center) - radius)
         if gap.size and gap.min() < margin:
@@ -438,6 +447,7 @@ def _classified_roots(T, J, tol: float = 1e-8,
     Jm = np.asarray(_as_matrix(J), dtype=complex)
     if T.shape != Jm.shape or T.ndim != 2 or T.shape[0] != T.shape[1]:
         raise ValidationError(f"incompatible shapes T {T.shape}, J {Jm.shape}")
+    _require_finite(T=T, J=Jm)
     scale, R, Z = _factorization(T)
     if cluster_gap is None:
         cluster_gap = 1e-8 * max(1.0, scale)

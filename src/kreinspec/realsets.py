@@ -96,9 +96,6 @@ class Interval:
         return Interval(self.lower + shift, self.upper + shift,
                         self.lower_closed, self.upper_closed)
 
-    def is_point(self) -> bool:
-        return self.lower == self.upper
-
     def __str__(self) -> str:
         left = "[" if self.lower_closed else "("
         right = "]" if self.upper_closed else ")"
@@ -173,9 +170,6 @@ class RealLineSet:
 
     def subtract(self, other: "RealLineSet") -> "RealLineSet":
         return combine(self, other, "subtract")
-
-    def translate(self, shift: float) -> "RealLineSet":
-        return RealLineSet(tuple(iv.translate(shift) for iv in self.intervals))
 
     def coalesced(self, tol: float) -> "RealLineSet":
         """Merge components separated by gaps of width <= tol.

@@ -52,6 +52,7 @@ __all__ = [
 ]
 
 DIM_CAP = 4096
+_COALESCE_TOL = 1e-7  # pair sums this close are one point of the sum spectrum
 
 
 class TypeConstraint(str, Enum):
@@ -151,8 +152,8 @@ def make_factor_spec(T, J, classification: ClassifiedSpectrum | None = None,
     """
     T = np.asarray(T, dtype=complex)
     invol = J if isinstance(J, Involution) else validate_involution(J)
+    defect = j_self_adjoint_defect(T, invol)  # refuses a non-finite T
     scale = max(1.0, _norm2(T))
-    defect = j_self_adjoint_defect(T, invol)
     if defect > tol * scale:
         raise ValidationError(
             f"factor is not J-self-adjoint: defect {defect:.3e} > {tol * scale:.1e}")
@@ -249,7 +250,7 @@ def _m_sets(groups) -> MSets:
     return MSets(plus, minus, zero)
 
 
-def predict_m_sets(c1, c2: ClassifiedSpectrum, coalesce_tol: float = 1e-7) -> MSets:
+def predict_m_sets(c1, c2: ClassifiedSpectrum) -> MSets:
     """Membership sets for the sum spectrum from the typed factor spectra.
 
     Finite route: M+ collects sums of two positive or two negative points,
@@ -270,7 +271,7 @@ def predict_m_sets(c1, c2: ClassifiedSpectrum, coalesce_tol: float = 1e-7) -> MS
             pts = [complex(e.lam).real for e in c2.entries if e.type is t]
             parts.append(minkowski_add_points(pts, c1))
         return MSets(*parts)
-    return _m_sets(_sum_groups(c1, c2, coalesce_tol)[2])
+    return _m_sets(_sum_groups(c1, c2, _COALESCE_TOL)[2])
 
 
 # The exclusion a sum point gets from its membership (in M+, in M-).
@@ -292,8 +293,7 @@ _BLOCK_RULES = tuple((frozenset({tag}), constraint)
 
 
 def predict_types(f1: FactorSpec, f2: FactorSpec,
-                  separation_radius: float | None = None,
-                  coalesce_tol: float = 1e-7) -> dict:
+                  separation_radius: float | None = None) -> dict:
     """Predicted type constraint for every point of the sum spectrum.
 
     Exclusion rules always apply: points of M0, and of the overlap of M+
@@ -306,7 +306,7 @@ def predict_types(f1: FactorSpec, f2: FactorSpec,
     factor without a certificate (``make_factor_spec(...,
     with_certificate=False)``) gives exclusion-only predictions.
     """
-    return _predictions(f1, f2, separation_radius, coalesce_tol)[0]
+    return _predictions(f1, f2, separation_radius, _COALESCE_TOL)[0]
 
 
 def _predictions(f1, f2, separation_radius, coalesce_tol):
@@ -370,8 +370,6 @@ class PredictionReport:
 def oracle_classify_and_compare(f1: FactorSpec, f2: FactorSpec,
                                 tol: float = 1e-8,
                                 cluster_gap: float | None = None,
-                                separation_radius: float | None = None,
-                                coalesce_tol: float = 1e-7,
                                 dim_cap: int = DIM_CAP) -> PredictionReport:
     """Classify the Kronecker sum directly and check every prediction.
 
@@ -390,7 +388,7 @@ def oracle_classify_and_compare(f1: FactorSpec, f2: FactorSpec,
                               eigvals=np.diag(R), failures=failures)
     oracle = ClassifiedSpectrum(tuple(entry for entry, _ in roots))
 
-    predicted, groups = _predictions(f1, f2, separation_radius, coalesce_tol)
+    predicted, groups = _predictions(f1, f2, None, _COALESCE_TOL)
     msets = _m_sets(groups)
 
     # a point with no oracle entry within the match tolerance is keyed -1
@@ -461,12 +459,12 @@ def random_involution(rng: np.random.Generator, n: int,
     raise ValidationError(f"unknown involution kind {kind!r}")
 
 
-def _sample_distinct(rng, count, gap=0.3, low=-5.0, high=5.0, existing=()):
+def _sample_distinct(rng, count, existing=()):
     vals = list(existing)
     for _ in range(count):
         for _ in range(200):
-            x = float(rng.uniform(low, high))
-            if all(abs(x - v) >= gap for v in vals):
+            x = float(rng.uniform(-5.0, 5.0))
+            if all(abs(x - v) >= 0.3 for v in vals):
                 vals.append(x)
                 break
         else:
@@ -488,8 +486,7 @@ def random_jsa_factor(rng: np.random.Generator,
                       n_plus: int = 1, n_minus: int = 1,
                       n_jordan: int = 0, n_pairs: int = 0,
                       mixing_strength: float = 0.4,
-                      conjugate: bool = False,
-                      tol: float = 1e-8) -> FactorSpec:
+                      conjugate: bool = False) -> FactorSpec:
     """Build a factor with prescribed spectral types, mixed but certified.
 
     Starts in canonical coordinates (sign pattern J, each eigenvalue on a
@@ -579,7 +576,7 @@ def random_jsa_factor(rng: np.random.Generator,
     spec = FactorSpec(t=T, j=invol, classification=classification,
                       basis_plus=Bp, basis_minus=Bm, certificate=certificate)
     defect = j_self_adjoint_defect(T, invol)
-    if defect > tol * max(1.0, _norm2(T)):
+    if defect > 1e-8 * max(1.0, _norm2(T)):
         raise NumericalError(f"generator produced defect {defect:.3e}")
     return spec
 

@@ -178,11 +178,10 @@ def mode_function(mode: TransversalMode, a: float, y):
     return A * np.cos(k * u) + B * np.sin(k * u)
 
 
-def _boundary_residual(mode: TransversalMode, a: float, alpha0: float,
-                       beta0: float = 0.0) -> float:
+def _boundary_residual(mode: TransversalMode, a: float, alpha0: float) -> float:
     A, B = mode.psi_coeffs
     k = cmath.sqrt(mode.lam)
-    alpha = beta0 + 1j * alpha0
+    alpha = 1j * alpha0
     lo = abs(B * k - alpha.conjugate() * A)
     top = A * cmath.cos(2 * k * a) + B * cmath.sin(2 * k * a)
     dtop = -A * k * cmath.sin(2 * k * a) + B * k * cmath.cos(2 * k * a)
@@ -236,6 +235,9 @@ def robin_fd(a: float, alpha: complex, n: int, sparse: bool = False):
 # Secular function and certified root finding
 # ---------------------------------------------------------------------------
 
+_MAX_NODES = 200_000  # F evaluations one winding count may spend
+
+
 def _make_secular(a: float, alpha0: float, beta0: float):
     c0 = alpha0 * alpha0 + beta0 * beta0
 
@@ -267,8 +269,7 @@ def _elementwise(fn, k):
     return complex(out) if out.ndim == 0 else out
 
 
-def _winding_number(f, rect, phase_rate: float = 0.0,
-                    max_nodes: int = 200000):
+def _winding_number(f, rect, phase_rate: float = 0.0):
     """Winding of f around a rectangle boundary by adaptive phase tracking.
 
     Each edge starts densely enough to resolve the known oscillation rate
@@ -286,11 +287,11 @@ def _winding_number(f, rect, phase_rate: float = 0.0,
     for zA, zB in zip(corners[:-1], corners[1:]):
         edge_len = abs(zB - zA)
         n0 = 8 + int(math.ceil(min(4.0 * phase_rate * edge_len / math.pi,
-                                   max_nodes)))
+                                   _MAX_NODES)))
         nodes += n0 + 1
-        if nodes > max_nodes:
+        if nodes > _MAX_NODES:
             raise RootCertificationError(
-                f"contour sampling needs over {max_nodes} nodes")
+                f"contour sampling needs over {_MAX_NODES} nodes")
         ts = np.linspace(0.0, 1.0, n0 + 1)
         pts = [zA + t * (zB - zA) for t in ts]
         vals = [f(z) for z in pts]
@@ -303,7 +304,7 @@ def _winding_number(f, rect, phase_rate: float = 0.0,
                 raise RootCertificationError(
                     f"phase jump near {0.5 * (a_ + b_):.6g} on the contour")
             nodes += 1
-            if nodes > max_nodes:
+            if nodes > _MAX_NODES:
                 raise RootCertificationError("contour refinement exploded")
             m = 0.5 * (a_ + b_)
             fm = f(m)
@@ -324,26 +325,25 @@ def _winding_number(f, rect, phase_rate: float = 0.0,
     return int(round(w))
 
 
-def _certified_winding(f, rect, phase_rate: float = 0.0,
-                       grow: float = 0.02, tries: int = 4):
-    """Winding count with outward perturbation retries for boundary roots."""
+def _certified_winding(f, rect, phase_rate: float = 0.0):
+    """Winding count, retried on rectangles grown outward by 2, 4 and 6 %
+    of each side for a root on the boundary."""
     re0, re1, im0, im1 = rect
-    for i in range(tries):
-        s = grow * i
+    for i in range(4):
+        s = 0.02 * i
         try:
             return _winding_number(f, (re0 - s * (re1 - re0),
                                        re1 + s * (re1 - re0),
                                        im0 - s * (im1 - im0),
                                        im1 + s * (im1 - im0)), phase_rate)
         except RootCertificationError:
-            if i == tries - 1:
+            if i == 3:
                 raise
 
 
-def _newton_refine(f, fp, k0: complex, mult: int, tol: float,
-                   maxit: int = 80) -> complex:
+def _newton_refine(f, fp, k0: complex, mult: int, tol: float) -> complex:
     k = complex(k0)
-    for _ in range(maxit):
+    for _ in range(80):
         v = f(k)
         if abs(v) <= tol:
             if mult == 1 and (d := fp(k)) != 0:
@@ -456,6 +456,10 @@ def secular_roots(a: float, alpha0: float, beta0: float,
 # Branch continuation in beta0
 # ---------------------------------------------------------------------------
 
+_COLLISION_RADIUS = 1e-6  # tracked branches closer than this have collided
+_MAX_BISECTIONS = 16  # nested halvings of one beta0 step before giving up
+
+
 class BranchPoint(NamedTuple):
     beta0: float
     k: complex
@@ -463,16 +467,14 @@ class BranchPoint(NamedTuple):
 
 
 def branch_curves(a: float, alpha0: float, beta0_samples: Sequence[float],
-                  seeds: Sequence[complex], tol: float = 1e-12,
-                  collision_radius: float = 1e-6,
-                  max_bisections: int = 16) -> tuple:
+                  seeds: Sequence[complex], tol: float = 1e-12) -> tuple:
     """Track secular roots along a monotone beta0 path, one branch per seed.
 
     Each continuation step re-solves by Newton from the previous root;
-    when two tracked branches come within ``collision_radius`` of each
-    other (or Newton fails) the step is bisected, and after
-    ``max_bisections`` nested bisections the collision is reported as a
-    NumericalError.  Conjugate symmetry of branches is a theorem about
+    when two tracked branches come within _COLLISION_RADIUS (1e-6) of
+    each other (or Newton fails) the step is bisected, and after
+    _MAX_BISECTIONS (16) nested bisections the collision is reported as
+    a NumericalError.  Conjugate symmetry of branches is a theorem about
     the model, not enforced here.
     """
     samples = [float(b) for b in beta0_samples]
@@ -486,7 +488,7 @@ def branch_curves(a: float, alpha0: float, beta0_samples: Sequence[float],
         raise ValidationError("need at least one seed root")
 
     def collide(ks):
-        return any(abs(x - y) <= collision_radius
+        return any(abs(x - y) <= _COLLISION_RADIUS
                    for i, x in enumerate(ks) for y in ks[i + 1:])
 
     f0, fp0 = _make_secular(a, alpha0, samples[0])
@@ -500,10 +502,10 @@ def branch_curves(a: float, alpha0: float, beta0_samples: Sequence[float],
             new = [_newton_refine(f, fp, k, 1, tol) for k in ks]
             if not collide(new):
                 return new
-        if depth >= max_bisections:
+        if depth >= _MAX_BISECTIONS:
             raise NumericalError(
                 f"branch collision near beta0 = {b_to:.6g}: tracked roots "
-                f"merged within {collision_radius:.1e}")
+                f"merged within {_COLLISION_RADIUS:.1e}")
         mid = 0.5 * (b_from + b_to)
         ks_mid = advance(b_from, mid, ks, depth + 1)
         return advance(mid, b_to, ks_mid, depth + 1)

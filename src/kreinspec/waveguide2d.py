@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 DIM_CAP = 400_000
+_DENSE_EIGS = 600  # eigs_near solves up to this many unknowns densely only
 
 
 class XBoundary(str, Enum):
@@ -216,16 +217,17 @@ def _residuals(H, scale, vals, vecs):
 
 
 def eigs_near(op: WaveguideOperator, target: complex, k: int,
-              tol: float = 1e-8, dense_cutoff: int = 600) -> list:
+              tol: float = 1e-8) -> list:
     """The k eigenpairs nearest ``target`` as (eigenvalue, relative residual).
 
-    A separable Dirichlet strip, H = Dx (x) I + I (x) T_y, is solved on
-    the ny-by-ny factor T_y: the sums mu_j + nu_k nearest the target, with
-    eigenvectors sine_j (x) w_k and residuals taken against H. Otherwise,
-    or if such a pair misses tol: shift-invert Arnoldi with perturbed-shift
-    retries (the target may sit on an eigenvalue), falling back to dense
-    solves for small problems; every returned pair has relative residual
-    <= tol or the call raises.
+    Candidate solvers run in order until every pair of one meets ``tol``;
+    the iterative ones only for k < n - 1 and more than _DENSE_EIGS
+    unknowns. First a separable Dirichlet strip, H = Dx (x) I + I (x) T_y,
+    is solved on the ny-by-ny factor T_y: the sums mu_j + nu_k nearest the
+    target, with eigenvectors sine_j (x) w_k. Then shift-invert Arnoldi at
+    the target and three perturbed shifts (the target may sit on an
+    eigenvalue). Last a dense solve, refused above 4000 unknowns.
+    Residuals are taken against H; if no candidate passes the call raises.
     """
     H = op.H.tocsc()
     n = H.shape[0]
@@ -234,50 +236,42 @@ def eigs_near(op: WaveguideOperator, target: complex, k: int,
     scale = _operator_scale(H)
     target = complex(target)
 
-    pairs = None
-    iterative = k < n - 1 and n > dense_cutoff
-    factors = _kronecker_factors(op) if iterative else None
-    if factors is not None:
-        mu, T_y = factors
-        nu, W = np.linalg.eig(T_y)
-        sums = np.add.outer(mu, nu)
-        nearest = np.argsort(np.abs(sums - target), axis=None)[:k]
-        j, m = np.unravel_index(nearest, sums.shape)
-        nx = len(mu)
-        S = np.sin(np.outer(np.arange(1, nx + 1), j + 1) * math.pi / (nx + 1))
-        vecs = (S / np.linalg.norm(S, axis=0))[:, None, :] * W[None, :, m]
-        pairs = _residuals(H, scale, sums[j, m], vecs.reshape(n, k))
-        if any(not r <= tol for _, r in pairs):
-            pairs = None
-    if pairs is None and iterative:
-        shift = target
-        for attempt in range(4):
-            try:
-                vals, vecs = scipy.sparse.linalg.eigs(
-                    H, k=k, sigma=shift, which="LM", tol=1e-12,
-                    maxiter=5000, v0=np.ones(n) / math.sqrt(n))
-                pairs = _residuals(H, scale, vals, vecs)
-                if all(r <= tol for _, r in pairs):
-                    break
-                pairs = None
-            except (RuntimeError, ArpackError, ArpackNoConvergence):
-                pass
-            shift = target + (attempt + 1) * (1e-6 + 1e-6j) * max(scale, 1.0)
-    if pairs is None:
+    def candidates():
+        if k < n - 1 and n > _DENSE_EIGS:
+            factors = _kronecker_factors(op)
+            if factors is not None:
+                mu, T_y = factors
+                nu, W = np.linalg.eig(T_y)
+                sums = np.add.outer(mu, nu)
+                nearest = np.argsort(np.abs(sums - target), axis=None)[:k]
+                j, m = np.unravel_index(nearest, sums.shape)
+                nx = len(mu)
+                S = np.sin(np.outer(np.arange(1, nx + 1), j + 1) * math.pi / (nx + 1))
+                vecs = (S / np.linalg.norm(S, axis=0))[:, None, :] * W[None, :, m]
+                yield _residuals(H, scale, sums[j, m], vecs.reshape(n, k))
+            for i in range(4):
+                shift = target + i * (1e-6 + 1e-6j) * max(scale, 1.0) if i else target
+                try:
+                    vals, vecs = scipy.sparse.linalg.eigs(
+                        H, k=k, sigma=shift, which="LM", tol=1e-12,
+                        maxiter=5000, v0=np.ones(n) / math.sqrt(n))
+                except (RuntimeError, ArpackError, ArpackNoConvergence):
+                    continue
+                yield _residuals(H, scale, vals, vecs)
         if n > 4000:
             raise NumericalError(
                 f"shift-invert did not converge near {target} and the "
                 f"problem (n = {n}) is too large for a dense fallback")
         vals, vecs = np.linalg.eig(H.toarray())
         order = np.argsort(np.abs(vals - target))[:k]
-        pairs = _residuals(H, scale, vals[order], vecs[:, order])
+        yield _residuals(H, scale, vals[order], vecs[:, order])
 
-    pairs.sort(key=lambda p: abs(p[0] - target))
-    bad = [r for _, r in pairs if not r <= tol]
-    if bad:
-        raise NumericalError(
-            f"eigenpair residuals up to {max(bad):.2e} exceed {tol}")
-    return pairs
+    for pairs in candidates():
+        pairs.sort(key=lambda p: abs(p[0] - target))
+        bad = [r for _, r in pairs if not r <= tol]
+        if not bad:
+            return pairs
+    raise NumericalError(f"eigenpair residuals up to {max(bad):.2e} exceed {tol}")
 
 
 # ---------------------------------------------------------------------------
@@ -390,12 +384,11 @@ class ImagBoundFit:
 
 
 def imag_bound_fit(pmap: PseudospectrumMap, window: Sequence[float],
-                   im_band: Sequence[float] = (1e-3, 0.5),
-                   min_samples: int = 8) -> ImagBoundFit:
+                   im_band: Sequence[float] = (1e-3, 0.5)) -> ImagBoundFit:
     """Fit log|Im lambda| = log M + (1/m) log sigma_min over a window.
 
     Samples are the map nodes with Re lambda in ``window``, |Im lambda|
-    inside ``im_band``, and a positive unflagged sigma_min.
+    inside ``im_band``, and a positive unflagged sigma_min; at least 8.
     """
     lo, hi = (float(t) for t in window)
     blo, bhi = (float(t) for t in im_band)
@@ -405,10 +398,9 @@ def imag_bound_fit(pmap: PseudospectrumMap, window: Sequence[float],
     sel = ((lam.real >= lo) & (lam.real <= hi)
            & (np.abs(lam.imag) >= blo) & (np.abs(lam.imag) <= bhi)
            & (~pmap.flagged) & (pmap.sigmas > 0))
-    if int(sel.sum()) < min_samples:
+    if int(sel.sum()) < 8:
         raise ValidationError(
-            f"only {int(sel.sum())} usable samples in the window/band, "
-            f"need {min_samples}")
+            f"only {int(sel.sum())} usable samples in the window/band, need 8")
     X = np.log(pmap.sigmas[sel])
     Y = np.log(np.abs(lam.imag[sel]))
     A = np.stack([np.ones_like(X), X], axis=1)

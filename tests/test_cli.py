@@ -393,6 +393,7 @@ class TestExitCodes:
         assert run_cli(["transversal", "--a", "-1.0"], tmp_path)[0] == 2
         assert run_cli(["msets", "--v0", "square-well", "--well-depth",
                         "-2.0"], tmp_path)[0] == 2
+        assert run_cli(["branches", "--seed-region", "1,2,3"], tmp_path)[0] == 2
 
     @pytest.mark.parametrize("command, doc", [
         ("tensor-check", {"tolerances": {"gram": "abc"}}),
@@ -411,6 +412,7 @@ class TestExitCodes:
         ("transversal", {"a": True}),
         ("transversal", {"out": ""}),
         ("tensor-check", {"seed": -1, "instances": 1}),
+        ("transversal", [1, 2]),
     ])
     def test_malformed_config_values_exit_two(self, tmp_path, command, doc):
         cfg = tmp_path / "run.json"

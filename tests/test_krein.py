@@ -33,7 +33,7 @@ from kreinspec import (
 from kreinspec import krein
 from kreinspec.krein import (_classified_roots, _cluster_eigenvalues,
                              _factorization, _norm2)
-from kreinspec.tensorsum import _campaign_instance
+from kreinspec.tensorsum import _campaign_instance, make_factor_spec
 
 FLIP2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIG2 = np.diag([1.0, -1.0])
@@ -96,7 +96,38 @@ class TestValidateInvolution:
         validate_involution(J, tol=1e-4)
 
 
+# each entry point refuses a NaN or inf in T or J (sparse: stored entries)
+NONFINITE_CALLS = {
+    "validate_involution": ("J", lambda T, J: validate_involution(J)),
+    "validate_involution-sparse": (
+        "J", lambda T, J: validate_involution(scipy.sparse.csr_matrix(J))),
+    "j_self_adjoint_defect-T": ("T", j_self_adjoint_defect),
+    "j_self_adjoint_defect-J": ("J", j_self_adjoint_defect),
+    "make_factor_spec-T": ("T", make_factor_spec),
+    "make_factor_spec-J": ("J", make_factor_spec),
+    "classify_point-T": ("T", lambda T, J: classify_point(T, J, 1.0)),
+    "classify_point-J": ("J", lambda T, J: classify_point(T, J, 1.0)),
+    "classify_spectrum-T": ("T", classify_spectrum),
+    "classify_spectrum-J": ("J", classify_spectrum),
+    "riesz_projection": ("T", lambda T, J: riesz_projection(T, 0.0, 1.5)),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("case", sorted(NONFINITE_CALLS))
+def test_non_finite_matrix_is_a_validation_error(case, bad):
+    where, call = NONFINITE_CALLS[case]
+    T, J = np.diag([1.0, 2.0]), np.diag([1.0, -1.0])
+    (T if where == "T" else J)[1, 1] = bad
+    with pytest.raises(ValidationError, match=f"{where} has a non-finite entry"):
+        call(T, J)
+
+
 class TestDefect:
+    def test_rejects_shape_mismatch(self):
+        with pytest.raises(ValidationError, match="shape mismatch"):
+            j_self_adjoint_defect(np.eye(2), np.eye(3))
+
     def test_hermitian_with_identity(self):
         A = np.array([[2.0, 1.0 + 1j], [1.0 - 1j, 5.0]])
         assert j_self_adjoint_defect(A, np.eye(2)) < 1e-14
@@ -177,6 +208,8 @@ class TestRieszProjection:
             riesz_projection(T, 0.0, -1.0)
         with pytest.raises(ValidationError, match="radius"):
             riesz_projection(T, 0.0, math.inf)
+        with pytest.raises(ValidationError, match="square"):
+            riesz_projection(np.ones((2, 3)), 0, 1)
 
 
 class TestClassifyPoint:
@@ -315,6 +348,10 @@ class TestClassifySpectrum:
         result = classify_spectrum(T, J, points=[1.0, 3.0])
         assert len(result) == 2
         assert result.points_of_type(SpectralType.NEGATIVE) == pytest.approx([3.0])
+
+    def test_rejects_shape_mismatch(self):
+        with pytest.raises(ValidationError, match="incompatible shapes"):
+            classify_spectrum(np.eye(2), np.eye(3))
 
     def test_points_of_type_helper(self):
         T, J = self.build_six_dim()
@@ -709,6 +746,8 @@ class TestDefinitenessConstants:
         cert = definiteness_constants(SIG2, bad, np.zeros((2, 0)),
                                       require_definite=False)
         assert cert.kappa_plus == pytest.approx(-0.6)
+        with pytest.raises(ValidationError, match="not uniformly negative"):
+            definiteness_constants(SIG2, np.zeros((2, 0)), [[1.0], [0.0]])
 
     def test_rejects_rank_deficient_basis(self):
         B = np.array([[1.0, 1.0], [0.0, 0.0], [0.5, 0.5]])

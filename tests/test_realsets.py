@@ -75,10 +75,16 @@ class TestIntervalValidation:
             Interval(0.0, INF, True, True)
         with pytest.raises(ValidationError):
             Interval(-INF, 0.0, True, False)
+        with pytest.raises(ValidationError, match="invalid endpoints"):
+            Interval(INF, INF, False, False)
 
     def test_nan_rejected(self):
         with pytest.raises(ValidationError):
             Interval(math.nan, 1.0)
+
+    def test_empty_set_has_no_infimum(self):
+        with pytest.raises(ValidationError, match="no infimum"):
+            RealLineSet.empty().infimum()
 
     def test_membership_flags(self):
         iv = Interval(0.0, 1.0, True, False)

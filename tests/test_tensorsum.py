@@ -245,6 +245,20 @@ class TestPredictTypes:
         assert lookup(predicted, 2.0) is TypeConstraint.MUST_BE_NOT_DEFINITE
         assert lookup(predicted, 3.0) is TypeConstraint.NOT_PLUS
 
+    def test_factor_specs_without_certificates(self):
+        # definite pair: block rules make the pp sum 1 plus type; without
+        # certificates only the exclusions remain, and the oracle agrees
+        J = np.diag([1.0, -1.0])
+        for with_certificate, want in ((True, TypeConstraint.MUST_BE_PLUS),
+                                       (False, TypeConstraint.NOT_MINUS)):
+            f1, f2 = (make_factor_spec(np.diag(d), J,
+                                       with_certificate=with_certificate)
+                      for d in ([1.0, 5.0], [0.0, 2.5]))
+            assert (f1.certificate is None) is not with_certificate
+            assert lookup(predict_types(f1, f2), 1.0) is want
+            report = oracle_classify_and_compare(f1, f2)
+            assert report.ok and report.oracle_failures == report.unmatched == 0
+
     def test_product_gate_extends_block_rules(self):
         # same-sign blocks nearly collide at 1; the combined (gate) rule
         # still certifies positivity there, the per-block rule alone cannot
@@ -574,6 +588,10 @@ class TestGenerator:
     def test_make_factor_spec_rejects_non_jsa(self):
         with pytest.raises(ValidationError, match="self-adjoint"):
             make_factor_spec(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
+        with pytest.raises(ValidationError, match="invariant subspace"):
+            make_factor_spec(np.diag([1.0, 2.0]), np.eye(2),
+                             basis_plus=[[1.0], [1.0]],
+                             basis_minus=np.zeros((2, 0)))
 
 
 class TestCampaign:

@@ -364,6 +364,8 @@ class TestSecular:
             secular_roots(A_HALF, 0.5, 0.0, (0.5, math.inf, -0.1, 0.1))
         with pytest.raises(ValidationError):
             secular_roots(A_HALF, 0.5, 0.0, (0.2, 2.4, -0.1, 0.1), tol=0.0)
+        with pytest.raises(ValidationError, match="half-width"):
+            secular_roots(-1, 0.5, 0.0, (0.2, 2.4, -0.1, 0.1))
 
     def test_root_on_boundary_fails_after_retries(self):
         # k = 0.5 is an exact root sitting on the left edge
@@ -456,6 +458,11 @@ class TestCertifiedSimpleCells:
         near = [k for k in roots if abs(k - 1.0) <= 1e-6]
         assert len(near) == 2 and near[0] == near[1]
         assert abs(secular_value(near[0], A_HALF, 1.0, 0.0)) <= 1e-12
+
+    def test_newton_stall_raises(self):
+        # F' = 0 ends Newton at once, with |F| = 1 above tol
+        with pytest.raises(RootCertificationError, match="stalled"):
+            _newton_refine(lambda k: 1.0, lambda k: 0.0, 1.0, 1, 1e-12)
 
     def test_newton_leaving_its_cell_falls_back_to_bisection(self, monkeypatch):
         # the first simple cell is the lower half of the region; Newton is
@@ -730,6 +737,9 @@ class TestWaveguideMSets:
         with pytest.raises(ValidationError, match="window"):
             waveguide_m_sets(A_HALF, 0.5, longitudinal_spectrum(Zero()),
                              window_max=50.0, n_modes=2)
+        with pytest.raises(ValidationError, match="finite"):
+            waveguide_m_sets(A_HALF, 0.5, longitudinal_spectrum(Zero()),
+                             window_max=math.inf)
 
     def test_unbounded_longitudinal_rejected(self):
         whole = RealLineSet.whole_line()

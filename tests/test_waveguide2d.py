@@ -226,6 +226,23 @@ class TestEigsNear:
         with pytest.raises(ValidationError):
             eigs_near(op, 0.25, op.dim + 1)
 
+    def test_no_dense_fallback_beyond_4000_unknowns(self, monkeypatch):
+        # a bump coupling is not separable, and shift-invert is made to fail
+        g = GridSpec(a=A_HALF, Lx=10.0, nx=260, ny=16)
+        op = assemble_waveguide(
+            g, lambda x: 1j * (0.5 - 0.15 * math.exp(-x * x / 2.0)),
+            lambda x, y: 0.0)
+        assert op.dim > 4000 and waveguide2d._kronecker_factors(op) is None
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("made to fail")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", fail)
+        monkeypatch.setattr(np.linalg, "eig", fail)  # escapes if a dense eig runs
+        for k in (3, op.dim - 1):  # k = n - 1 skips the iterative solvers
+            with pytest.raises(NumericalError, match="too large for a dense"):
+                eigs_near(op, 0.5, k)
+
     def test_kronecker_pair_missing_tol_gives_shift_invert_pairs(
             self, monkeypatch):
         op = free_operator(nx=50, ny=16, Lx=8.0, boundary=XBoundary.DIRICHLET)
