@@ -531,6 +531,7 @@ def theta_operator(projections: Iterable[np.ndarray],
     Ps = [np.asarray(P, dtype=complex) for P in projections]
     if not Ps:
         raise ValidationError("projection family is empty")
+    _require_finite(**{f"projection {i}": P for i, P in enumerate(Ps)})
     n_dim = Ps[0].shape[0]
     for P in Ps:
         if P.shape != (n_dim, n_dim):
@@ -596,12 +597,14 @@ def definiteness_constants(J, basis_plus: np.ndarray, basis_minus: np.ndarray,
     subspace quantities, not per-column ones.
     """
     Jm = np.asarray(_as_matrix(J), dtype=complex)
+    _require_finite(J=Jm)
     n = Jm.shape[0]
 
     def prep(B, name):
         B = np.asarray(B, dtype=complex)
         if B.size == 0:
             return np.zeros((n, 0), dtype=complex)
+        _require_finite(**{name: B})
         if B.ndim != 2 or B.shape[0] != n:
             raise ValidationError(f"{name} must have shape ({n}, k), got {B.shape}")
         sv = np.linalg.svd(B, compute_uv=False)

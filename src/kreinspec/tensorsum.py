@@ -28,8 +28,8 @@ from .errors import NumericalError, ValidationError
 from .krein import (ClassifiedSpectrum, DefinitenessCertificate, Involution,
                     SpectralType, SpectrumEntry, _classified_roots,
                     _cluster_eigenvalues, _factorization, _norm2, _position,
-                    definiteness_constants, j_self_adjoint_defect,
-                    validate_involution)
+                    _require_finite, definiteness_constants,
+                    j_self_adjoint_defect, validate_involution)
 from .realsets import RealLineSet, minkowski_add_points
 
 __all__ = [
@@ -425,6 +425,7 @@ def build_phi(theta1: np.ndarray, theta2: np.ndarray,
     phi_parts = []
     for name, th in (("theta1", theta1), ("theta2", theta2)):
         th = np.asarray(th, dtype=complex)
+        _require_finite(**{name: th})
         scale = max(1.0, _norm2(th))
         if _norm2(th - th.conj().T) > tol * scale:
             raise ValidationError(f"{name} is not Hermitian")

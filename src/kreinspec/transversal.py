@@ -32,7 +32,7 @@ import scipy.linalg
 import scipy.sparse
 
 from .errors import (NumericalError, RootCertificationError, ValidationError)
-from .krein import SpectralType
+from .krein import SpectralType, _require_finite
 from .realsets import Interval, RealLineSet, minkowski_add_points
 
 __all__ = [
@@ -210,6 +210,8 @@ def robin_fd(a: float, alpha: complex, n: int, sparse: bool = False):
     if not (0.0 < h * h < math.inf and 2.0 / (h * h) < math.inf):
         raise ValidationError(f"grid step {h:g} leaves 2/h^2 out of range")
     alpha = complex(alpha)
+    if not cmath.isfinite(alpha):
+        raise ValidationError(f"coupling alpha must be finite, got {alpha}")
     main = np.full(n, 2.0, dtype=complex) / h**2
     main[0] = 2.0 / h**2 + 2.0 * alpha.conjugate() / h
     main[-1] = 2.0 / h**2 + 2.0 * alpha / h
@@ -431,6 +433,9 @@ def secular_roots(a: float, alpha0: float, beta0: float,
         raise ValidationError(f"half-width a must be positive, got {a}")
     if tol <= 0:
         raise ValidationError(f"tolerance must be positive, got {tol}")
+    if not all(map(math.isfinite, (a, alpha0, beta0))):
+        raise ValidationError(
+            f"a, alpha0 and beta0 must be finite, got {a}, {alpha0}, {beta0}")
     re0, re1, im0, im1 = (float(x) for x in region)
     if not (re0 < re1 and im0 < im1):
         raise ValidationError(f"degenerate region {region}")
@@ -615,8 +620,9 @@ def longitudinal_spectrum(spec) -> tuple[RealLineSet, tuple]:
         L = float(spec.half_length)
         if v.ndim != 1 or len(v) < 8:
             raise ValidationError("need at least 8 interior potential samples")
-        if L <= 0:
-            raise ValidationError("half_length must be positive")
+        _require_finite(values=v)
+        if not 0 < L < math.inf:
+            raise ValidationError(f"half_length must be positive and finite, got {L}")
         v_inf = 0.5 * (v[0] + v[-1])
         edge = max(2, len(v) // 10)
         flat = max(np.abs(v[:edge] - v_inf).max(),

@@ -117,15 +117,24 @@ class WaveguideOperator:
         return self.H.shape[0]
 
 
-def _x_second_difference(grid: GridSpec) -> scipy.sparse.spmatrix:
+def _x_second_difference(grid: GridSpec) -> scipy.sparse.csr_matrix:
+    """Dx = tridiag(-1, 2, -1) / hx^2, with the periodic corners, from its CSR arrays."""
     nx, hx = grid.nx, grid.hx
-    main = np.full(nx, 2.0) / hx**2
-    off = np.full(nx - 1, -1.0) / hx**2
-    D = scipy.sparse.diags([off, main, off], [-1, 0, 1], format="lil")
+    main, off = 2.0 / hx**2, -1.0 / hx**2
+    idx = np.arange(nx + 1, dtype=np.int32)
+    cols = idx[:-1, None] + idx[:3] - 1  # row i holds i-1, i, i+1
+    data = np.tile([off, main, off], (nx, 1))
     if XBoundary(grid.x_boundary) is XBoundary.PERIODIC:
-        D[0, nx - 1] = -1.0 / hx**2
-        D[nx - 1, 0] = -1.0 / hx**2
-    return D.tocsr()
+        cols[0], cols[-1] = (0, 1, nx - 1), (0, nx - 2, nx - 1)
+        data[0], data[-1] = (main, off, off), (off, off, main)
+        return scipy.sparse.csr_matrix((data.ravel(), cols.ravel(), 3 * idx),
+                                       shape=(nx, nx))
+    indptr = (3 * idx - 1).clip(0, 3 * nx - 2)  # 0, 2, 5, ..., 3nx-2
+    return scipy.sparse.csr_matrix(
+        (data.ravel()[1:-1], cols.ravel()[1:-1], indptr), shape=(nx, nx))
+
+
+_CHUNK = 1 << 14  # entries one vectorised step of a compaction or check touches
 
 
 def assemble_waveguide(grid: GridSpec, alpha: Callable[[float], complex],
@@ -135,9 +144,17 @@ def assemble_waveguide(grid: GridSpec, alpha: Callable[[float], complex],
     The top wall carries alpha(x), the bottom wall conj(alpha(x)); both
     enter through the ghost-node closure of the 1D transversal stencil,
     so for wall-conjugation-symmetric V the assembled matrix satisfies
-    J H* J = H exactly (J the y-reversal permutation).  Column k's CSR
-    stencil from ``robin_fd`` is placed directly as the k-th diagonal
-    block (indices shifted by k*ny) of one CSR matrix.
+    J H* J = H exactly (J the y-reversal permutation).
+
+    H's CSR arrays are written in one vectorised pass, five slots per row:
+    row (i, r) is row i of Dx, placed at columns (j, r), with its diagonal
+    widened to column i's ``robin_fd`` stencil T_i and
+    (Dx[i, i] + T_i[r, r]) + V[i, r] in the middle. Each entry is the
+    value (kron(Dx, I) + blockdiag(T_i)) + diags(V) gives, exact-zero sums
+    dropped and indices sorted, so the arrays equal that sum's bit for
+    bit; no Kronecker product, sparse sum or other nnz-sized copy is made,
+    since the kept slots are compacted in place into H's data and indices.
+    J is built from its index arrays.
     """
     grid.validate()
     x, y = grid.x_nodes().tolist(), grid.y_nodes().tolist()
@@ -154,20 +171,57 @@ def assemble_waveguide(grid: GridSpec, alpha: Callable[[float], complex],
     alpha_samples = sample("alpha(x)", alpha, x)
     V_samples = sample("V(x, y)", V, x, y).reshape(grid.nx, grid.ny)
 
+    nx, ny, n = grid.nx, grid.ny, grid.nx * grid.ny
+    node = np.arange(n, dtype=np.int32).reshape(nx, ny)
     Dx = _x_second_difference(grid)
-    T0, flip = robin_fd(grid.a, alpha_samples[0], grid.ny, sparse=True)
-    blocks = [T0] + [robin_fd(grid.a, al, grid.ny, sparse=True)[0]
-                     for al in alpha_samples[1:]]
-    stack = scipy.sparse.csr_matrix(
-        (np.concatenate([T.data for T in blocks]),
-         np.concatenate([T.indices + k * grid.ny for k, T in enumerate(blocks)]),
-         np.concatenate([[0]] + [np.diff(T.indptr) for T in blocks]).cumsum()),
-        shape=(grid.nx * grid.ny,) * 2)
-    H = (scipy.sparse.kron(Dx, scipy.sparse.identity(grid.ny), format="csr")
-         + stack + scipy.sparse.diags(V_samples.ravel()))
+    xrow = np.repeat(np.arange(nx), np.diff(Dx.indptr))
+    # slot of Dx[i, j] in row (i, r): its place in Dx's row i, moved past
+    # the diagonal's three y slots if j > i
+    slot = np.arange(Dx.nnz) - Dx.indptr[xrow] + 2 * (Dx.indices > xrow)
+    vals = np.zeros((nx, ny, 5), dtype=complex)
+    cols = np.zeros((nx, ny, 5), dtype=np.int32)
+    nb = Dx.indices != xrow  # the x neighbours
+    vals[xrow[nb], :, slot[nb]] = Dx.data[nb, None]  # (Dx + 0) + 0
+    cols[xrow[nb], :, slot[nb]] = Dx.indices[nb, None] * ny + node[0]
+    first, xdiag = slot[~nb], Dx.data[~nb]  # x block i's stencil slot, Dx[i, i]
+    for i, (f, al) in enumerate(zip(first, alpha_samples)):
+        T = robin_fd(grid.a, al, ny, sparse=True)[0]
+        stencil = vals[i, :, f:f + 3]
+        if T.nnz == 3 * ny - 2:
+            stencil.flat[1:-1] = T.data
+        else:  # an endpoint entry the coupling cancels
+            r = np.repeat(node[0], np.diff(T.indptr))
+            stencil[r, T.indices - r + 1] = T.data
+    # (Dx[i, i] + T_i) + V in the middle, (0 + T_i) + 0 beside it; one run
+    # of x blocks whose stencils start at the same slot at a time
+    runs = np.flatnonzero(np.diff(first)) + 1
+    for i0, i1 in zip([0, *runs], [*runs, nx]):
+        f = first[i0]
+        stencil = vals[i0:i1, :, f:f + 3]
+        stencil[..., 1] += xdiag[i0:i1, None]
+        stencil[..., 1] += V_samples[i0:i1]
+        stencil[..., ::2] += 0.0
+        for b in range(3):
+            cols[i0:i1, :, f + b] = node[i0:i1] + (b - 1)
 
-    Jm = scipy.sparse.kron(scipy.sparse.identity(grid.nx), flip, format="csr")
-    return WaveguideOperator(grid=grid, H=H.tocsr(), J=validate_involution(Jm),
+    keep = vals != 0  # drops the padding and the exact-zero sums
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=2).ravel(), out=indptr[1:])
+    data, indices, keep = vals.reshape(-1), cols.reshape(-1), keep.reshape(-1)
+    nnz = 0
+    for start in range(0, keep.size, _CHUNK):
+        # every kept slot moves left, so no unread slot is overwritten
+        k = keep[start:start + _CHUNK]
+        m = int(np.count_nonzero(k))
+        data[nnz:nnz + m] = data[start:start + _CHUNK][k]
+        indices[nnz:nnz + m] = indices[start:start + _CHUNK][k]
+        nnz += m
+    H = scipy.sparse.csr_matrix((data[:nnz], indices[:nnz], indptr), shape=(n, n))
+
+    Jm = scipy.sparse.csr_matrix(
+        (np.ones(n), node[:, ::-1].ravel(), np.arange(n + 1, dtype=np.int32)),
+        shape=(n, n))
+    return WaveguideOperator(grid=grid, H=H, J=validate_involution(Jm),
                              alpha_samples=alpha_samples, V_samples=V_samples)
 
 
@@ -176,9 +230,11 @@ def assemble_waveguide(grid: GridSpec, alpha: Callable[[float], complex],
 # ---------------------------------------------------------------------------
 
 def _operator_scale(H) -> float:
+    """sqrt(||H||_1 ||H||_inf) from |H.data|, H in CSR, sharing its index arrays."""
     # an overflowing stencil reads inf or NaN here; the residual gates reject it
     with np.errstate(over="ignore", invalid="ignore"):
-        absH = abs(H)
+        absH = scipy.sparse.csr_matrix((np.abs(H.data), H.indices, H.indptr),
+                                       shape=H.shape)
         one = absH.sum(axis=0).max()
         inf = absH.sum(axis=1).max()
     return float(math.sqrt(float(one) * float(inf)))
@@ -188,7 +244,13 @@ def _kronecker_factors(op: WaveguideOperator):
     """(mu, T_y) if op.H == kron(Dx, I) + kron(I, T_y) on a Dirichlet grid.
 
     None otherwise; mu are the eigenvalues of Dx (its eigenvectors are
-    the sine vectors), and the rebuilt sum is compared with op.H itself.
+    the sine vectors). The rule is max|K - H| <= 4 eps max|H| over both
+    patterns, K = Dx (x) I + I (x) T_y, applied without building K: K's
+    value at each stored entry of H comes from Dx's two values and T_y's
+    band, a chunk of entries at a time, and a K entry H leaves out shows
+    as a value class (a band position of T_y, or the x neighbours) of
+    which H stores fewer entries than K has. An H with duplicate entries
+    is refused; one not in CSR is converted.
     """
     g, al, V = op.grid, op.alpha_samples, op.V_samples
     if (XBoundary(g.x_boundary) is not XBoundary.DIRICHLET
@@ -196,21 +258,52 @@ def _kronecker_factors(op: WaveguideOperator):
             or op.H.shape != (V.size, V.size)
             or np.any(al != al[0]) or np.any(V != V[0])):
         return None
-    sp, I = scipy.sparse, scipy.sparse.identity
-    T_y = robin_fd(g.a, al[0], g.ny, sparse=True)[0] + sp.diags(V[0])
-    K = sp.kron(_x_second_difference(g), I(g.ny)) + sp.kron(I(g.nx), T_y)
-    if abs(K - op.H).max() > 4 * np.finfo(float).eps * abs(op.H).max():
+    H = op.H.tocsr()
+    if not H.has_canonical_format:
+        return None
+    nx, ny = g.nx, g.ny
+    T_y = (robin_fd(g.a, al[0], ny, sparse=True)[0]
+           + scipy.sparse.diags(V[0])).toarray()
+    # K's values by class: band position (r, r + b - 1) of an x block, an
+    # x neighbour, and last every position K does not store
+    kval = np.zeros(3 * ny + 2, dtype=complex)
+    band = kval[:3 * ny].reshape(ny, 3)
+    band[1:, 0] = np.diagonal(T_y, -1)
+    band[:, 1] = 2.0 / g.hx**2 + np.diagonal(T_y)
+    band[:-1, 2] = np.diagonal(T_y, 1)
+    kval[3 * ny] = -1.0 / g.hx**2
+    size = np.r_[np.full(3 * ny, nx), 2 * (nx - 1) * ny, 0]
+    seen = np.zeros(3 * ny + 2, dtype=np.int64)
+    dev, top = [0.0], [0.0]
+    step = _CHUNK // 5
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r0 in range(0, H.shape[0], step):
+            ptr = H.indptr[r0:r0 + step + 1]
+            row = np.repeat(np.arange(r0, r0 + len(ptr) - 1, dtype=np.int32),
+                            np.diff(ptr))
+            bi, r = np.divmod(row, ny)
+            bj, s = np.divmod(H.indices[ptr[0]:ptr[-1]], ny)
+            b = s - r + 1
+            cls = np.where((bi == bj) & (b >= 0) & (b <= 2), 3 * r + b,
+                           np.where((abs(bj - bi) == 1) & (b == 1),
+                                    3 * ny, 3 * ny + 1))
+            h = H.data[ptr[0]:ptr[-1]]
+            dev.append(np.max(np.abs(kval[cls] - h), initial=0.0))
+            top.append(np.max(np.abs(h), initial=0.0))
+            seen += np.bincount(cls, minlength=3 * ny + 2)
+        dev.extend(np.abs(kval[seen < size]))
+    if np.max(dev) > 4 * np.finfo(float).eps * np.max(top):
         return None
     j = np.arange(1, g.nx + 1)
-    return (2 - 2 * np.cos(j * math.pi / (g.nx + 1))) / g.hx**2, T_y.toarray()
+    return (2 - 2 * np.cos(j * math.pi / (g.nx + 1))) / g.hx**2, T_y
 
 
 def _residuals(H, scale, vals, vecs):
-    """(eigenvalue, relative residual) pairs; NaN where they overflow, which
-    every ``not r <= tol`` gate rejects."""
+    """(eigenvalue, relative residual) pairs for an iterable of eigenvectors;
+    NaN where they overflow, which every ``not r <= tol`` gate rejects."""
     out = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for lam, v in zip(vals, vecs.T):
+        for lam, v in zip(vals, vecs):
             r = np.linalg.norm(H @ v - lam * v) / (scale * np.linalg.norm(v))
             out.append((complex(lam), float(r)))
     return out
@@ -228,12 +321,15 @@ def eigs_near(op: WaveguideOperator, target: complex, k: int,
     the target and three perturbed shifts (the target may sit on an
     eigenvalue). Last a dense solve, refused above 4000 unknowns.
     Residuals are taken against H; if no candidate passes the call raises.
+    H is read as stored: its scale, the separability check and the
+    residuals make no nnz-sized copy of it, and only shift-invert converts
+    it to CSC. The separable route makes one eigenvector at a time.
     """
-    H = op.H.tocsc()
+    H = op.H
     n = H.shape[0]
     if not 1 <= k <= n:
         raise ValidationError(f"need 1 <= k <= {n} eigenvalues, got {k}")
-    scale = _operator_scale(H)
+    scale = _operator_scale(H.tocsr())
     target = complex(target)
 
     def candidates():
@@ -247,24 +343,27 @@ def eigs_near(op: WaveguideOperator, target: complex, k: int,
                 j, m = np.unravel_index(nearest, sums.shape)
                 nx = len(mu)
                 S = np.sin(np.outer(np.arange(1, nx + 1), j + 1) * math.pi / (nx + 1))
-                vecs = (S / np.linalg.norm(S, axis=0))[:, None, :] * W[None, :, m]
-                yield _residuals(H, scale, sums[j, m], vecs.reshape(n, k))
+                S /= np.linalg.norm(S, axis=0)
+                # one eigenvector sine_j (x) w_m at a time
+                vecs = (np.outer(S[:, c], W[:, mc]).ravel() for c, mc in enumerate(m))
+                yield _residuals(H, scale, sums[j, m], vecs)
+            Hc = H.tocsc()  # the LU behind shift-invert wants CSC
             for i in range(4):
                 shift = target + i * (1e-6 + 1e-6j) * max(scale, 1.0) if i else target
                 try:
                     vals, vecs = scipy.sparse.linalg.eigs(
-                        H, k=k, sigma=shift, which="LM", tol=1e-12,
+                        Hc, k=k, sigma=shift, which="LM", tol=1e-12,
                         maxiter=5000, v0=np.ones(n) / math.sqrt(n))
                 except (RuntimeError, ArpackError, ArpackNoConvergence):
                     continue
-                yield _residuals(H, scale, vals, vecs)
+                yield _residuals(H, scale, vals, vecs.T)
         if n > 4000:
             raise NumericalError(
                 f"shift-invert did not converge near {target} and the "
                 f"problem (n = {n}) is too large for a dense fallback")
         vals, vecs = np.linalg.eig(H.toarray())
         order = np.argsort(np.abs(vals - target))[:k]
-        yield _residuals(H, scale, vals[order], vecs[:, order])
+        yield _residuals(H, scale, vals[order], vecs[:, order].T)
 
     for pairs in candidates():
         pairs.sort(key=lambda p: abs(p[0] - target))

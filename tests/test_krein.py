@@ -16,16 +16,20 @@ import scipy.sparse.csgraph
 from kreinspec import (
     ClassifiedSpectrum,
     ContourError,
+    Discretized,
     NumericalError,
     SpectralType,
     ValidationError,
+    build_phi,
     classify_point,
     classify_spectrum,
     definiteness_constants,
     j_self_adjoint_defect,
     kron_sum,
+    longitudinal_spectrum,
     riesz_projection,
     robin_fd,
+    secular_roots,
     theta_operator,
     transversal_modes,
     validate_involution,
@@ -121,6 +125,28 @@ def test_non_finite_matrix_is_a_validation_error(case, bad):
     (T if where == "T" else J)[1, 1] = bad
     with pytest.raises(ValidationError, match=f"{where} has a non-finite entry"):
         call(T, J)
+
+
+# the other public boundaries refuse a NaN or inf, in a matrix entry or a
+# scalar argument, before any numpy or scipy routine sees it
+NONFINITE_INPUTS = {
+    "theta_operator": lambda M, x: theta_operator([M, np.diag([0.0, 1.0])]),
+    "definiteness_constants": lambda M, x: definiteness_constants(
+        M, [[1.0], [0.0]], np.zeros((2, 0))),
+    "build_phi": lambda M, x: build_phi(M, np.eye(2)),
+    "longitudinal_spectrum": lambda M, x: longitudinal_spectrum(
+        Discretized(np.full(10, x), 5.0)),
+    "robin_fd": lambda M, x: robin_fd(1.0, complex(x, 1.0), 5),
+    "secular_roots": lambda M, x: secular_roots(x, 0.5, 0.1,
+                                                (0.2, 2.4, -0.1, 0.1)),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("site", sorted(NONFINITE_INPUTS))
+def test_non_finite_input_is_a_validation_error(site, bad):
+    with pytest.raises(ValidationError, match="finite"):
+        NONFINITE_INPUTS[site](np.diag([1.0, bad]), bad)
 
 
 class TestDefect:

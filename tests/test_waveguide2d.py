@@ -1,5 +1,6 @@
 """Tests for the 2D strip discretization and pseudospectrum tools."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,6 +123,21 @@ class TestAssembly:
         if coupling == "endpoint":
             assert min(b.nnz for b in blocks) == 3 * ny - 4
 
+    @pytest.mark.parametrize("boundary", list(XBoundary))
+    def test_x_second_difference_matches_lil_construction(self, boundary):
+        g = GridSpec(a=1.0, Lx=5.0, nx=11, ny=8, x_boundary=boundary)
+        nx, hx = g.nx, g.hx
+        main = np.full(nx, 2.0) / hx**2
+        off = np.full(nx - 1, -1.0) / hx**2
+        D = sp.diags([off, main, off], [-1, 0, 1], format="lil")
+        if boundary is XBoundary.PERIODIC:
+            D[0, nx - 1] = -1.0 / hx**2
+            D[nx - 1, 0] = -1.0 / hx**2
+        want, got = D.tocsr(), waveguide2d._x_second_difference(g)
+        for field in ("indptr", "indices", "data"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
     def test_pt_defect_exactly_zero_for_constant_coupling(self):
         op = free_operator()
         assert j_self_adjoint_defect(op.H, op.J) == 0.0
@@ -218,6 +234,17 @@ class TestEigsNear:
         assert res <= 1e-8
         assert lam.real < 0.25
         assert abs(lam.imag) <= 1e-8 * abs(op.H).max()
+
+    @pytest.mark.parametrize("alpha", [lambda x: 0.5j,
+                                       lambda x: 1j * (0.5 + 0.1 * math.cos(x))])
+    @pytest.mark.parametrize("boundary", list(XBoundary))
+    def test_operator_scale_matches_csc_sums(self, alpha, boundary):
+        g = GridSpec(a=A_HALF, Lx=5.0, nx=30, ny=13, x_boundary=boundary)
+        op = assemble_waveguide(g, alpha, lambda x, y: x * x + 1j * math.sin(y))
+        absH = abs(op.H.tocsc())
+        want = math.sqrt(float(absH.sum(axis=0).max())
+                         * float(absH.sum(axis=1).max()))
+        assert waveguide2d._operator_scale(op.H) == want
 
     def test_validation(self):
         op = free_operator(nx=8, ny=8)
@@ -332,6 +359,122 @@ class TestKroneckerFastPath:
         assert waveguide2d._kronecker_factors(zero) is not None
         for op in (bump, x_potential, periodic, hand_built):
             assert waveguide2d._kronecker_factors(op) is None
+
+
+def materialised_kronecker_rule(op):
+    """The separability rule with K and K - H built: True if it accepts."""
+    g, al, V = op.grid, op.alpha_samples, op.V_samples
+    if (XBoundary(g.x_boundary) is not XBoundary.DIRICHLET
+            or np.any(al != al[0]) or np.any(V != V[0])):
+        return False
+    T_y = robin_fd(g.a, al[0], g.ny, sparse=True)[0] + sp.diags(V[0])
+    K = (sp.kron(waveguide2d._x_second_difference(g), sp.identity(g.ny))
+         + sp.kron(sp.identity(g.nx), T_y))
+    return not abs(K - op.H).max() > 4 * np.finfo(float).eps * abs(op.H).max()
+
+
+def with_H(op, H):
+    return WaveguideOperator(grid=op.grid, H=H, J=op.J,
+                             alpha_samples=op.alpha_samples,
+                             V_samples=op.V_samples)
+
+
+class TestKroneckerRule:
+    """The entrywise separability check against the materialised rule."""
+
+    @staticmethod
+    def operators():
+        g = GridSpec(a=A_HALF, Lx=10.0, nx=40, ny=16)
+        p = GridSpec(a=1.0, Lx=5.0, nx=30, ny=17)
+        cancel = -(2.0 / p.hx**2 + 2.0 / p.hy**2)  # every interior diagonal sums to 0
+        return {
+            "constant": assemble_waveguide(g, lambda x: 0.5j, lambda x, y: 0.0),
+            "zero": assemble_waveguide(g, lambda x: 0.0, lambda x, y: 0.0),
+            "y_potential": TestKroneckerFastPath.y_potential_case()[0],
+            "cancelled_diagonal": assemble_waveguide(p, lambda x: 0.3j,
+                                                     lambda x, y: cancel),
+            "endpoint": assemble_waveguide(p, lambda x: -1 / p.hy, lambda x, y: 0.0),
+            "bump": assemble_waveguide(
+                g, lambda x: 1j * (0.5 + 0.05 * math.exp(-x * x)),
+                lambda x, y: 0.0),
+            "x_potential": assemble_waveguide(g, lambda x: 0.5j,
+                                              lambda x, y: 0.1 * x * x),
+            "periodic": free_operator(nx=40, ny=16),
+        }
+
+    @staticmethod
+    def moved(op, how, factor):
+        """op with one entry of H moved by factor times the rule's tolerance."""
+        H = op.H.tolil()
+        tol = 4 * np.finfo(float).eps * abs(op.H).max()
+        row = op.grid.ny + 3  # x block 1, y node 3
+        if how == "removed":  # an x neighbour K stores
+            H[row, 3] = 0.0
+        else:  # "added" lands where K stores nothing
+            col, step = {"x_neighbour": (3, 1), "diagonal": (row, 1),
+                         "y_neighbour": (row - 1, 1j),
+                         "added": (op.dim - 1, 1)}[how]
+            H[row, col] += factor * tol * step
+        return with_H(op, H.tocsr())
+
+    def test_existing_operators_get_the_same_decision(self):
+        decisions = {}
+        for name, op in self.operators().items():
+            fast = waveguide2d._kronecker_factors(op) is not None
+            assert fast == materialised_kronecker_rule(op), name
+            decisions[name] = fast
+        assert decisions == {
+            "constant": True, "zero": True, "y_potential": True,
+            "cancelled_diagonal": True, "endpoint": True, "bump": False,
+            "x_potential": False, "periodic": False}
+
+    @pytest.mark.parametrize("how", ["x_neighbour", "diagonal", "y_neighbour",
+                                     "added", "removed"])
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    @pytest.mark.parametrize("base", ["constant", "cancelled_diagonal"])
+    def test_moved_entry_gets_the_same_decision(self, base, factor, how):
+        op = self.moved(self.operators()[base], how, factor)
+        fast = waveguide2d._kronecker_factors(op) is not None
+        assert fast == materialised_kronecker_rule(op)
+        assert fast == (factor < 1 and how != "removed")
+
+    def test_refuses_duplicate_entries(self):
+        op = self.operators()["constant"]
+        H = op.H
+        indptr = H.indptr + 1
+        indptr[0] = 0  # row 0 stores (0, 0) twice, the copies summing to H
+        doubled = with_H(op, sp.csr_matrix(
+            (np.r_[0.0, H.data], np.r_[0, H.indices], indptr), shape=H.shape))
+        assert waveguide2d._kronecker_factors(doubled) is None
+        assert materialised_kronecker_rule(doubled)  # which sums them in place
+
+
+class TestMemory:
+    """tracemalloc peaks on the criterion-11 strip, in multiples of H's bytes."""
+
+    def test_assembly_and_eigs_near_make_no_nnz_sized_copies(self):
+        g = GridSpec(a=A_HALF, Lx=40.0, nx=640, ny=48)
+        tracemalloc.start()
+        try:
+            op = assemble_waveguide(g, lambda x: complex(-0.05, 1.0),
+                                    lambda x, y: 0.0)
+            assembly = tracemalloc.get_traced_memory()[1]
+            peaks = {}
+            for name, call in (
+                    ("eigs_near", lambda: eigs_near(op, 0.97566 + 0.25849j, 6)),
+                    ("kronecker", lambda: waveguide2d._kronecker_factors(op))):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                call()
+                peaks[name] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        H = op.H
+        h_bytes = H.data.nbytes + H.indices.nbytes + H.indptr.nbytes
+        # assembly returns H, J and the samples: about 1.35 H
+        assert assembly <= 2.5 * h_bytes
+        assert peaks["eigs_near"] <= 1.5 * h_bytes
+        assert peaks["kronecker"] <= 1.0 * h_bytes
 
 
 class TestPseudospectrum:
