@@ -5,11 +5,12 @@ inner product into the indefinite product [f, g] = (Jf, g).  A matrix T
 with T = J T* J is J-self-adjoint; each of its eigenvalue clusters is
 classified as positive type, negative type, or not definite by the sign
 pattern of the indefinite Gram matrix on the root subspace, read from one
-complex Schur form per matrix that LAPACK ztrsen reorders per cluster.
-LAPACK's condition estimates ``s`` and ``sep`` of the reordering certify
-each cluster; they are computed here by triangular solves (ztrtrs) in
-place of ztrsen's Sylvester solver.  Riesz projections are the
-independent check.
+complex Schur form per matrix.  One vectorised pass per call measures the
+clusters' centres and distances; each cluster then costs a fixed sequence:
+a LAPACK ztrsen reorder, ztrsen's ``s`` and ``sep`` as its certificate (at
+most twelve Sylvester-map applications of one triangular solve (ztrtrs) per
+block row, not ztrsen's Sylvester solver), one Gram eigvalsh and, past one
+root, one SVD.  Riesz projections are the independent check.
 
 Classification runs on the root subspace, not just the eigenspace, so a
 Jordan block at a real eigenvalue is reported as not definite even
@@ -31,6 +32,7 @@ import scipy.sparse.linalg
 from .errors import ContourError, NumericalError, ValidationError
 
 _TINY = np.finfo(float).tiny  # smallest normal double, as in zlacn2
+_CHUNK = 1 << 14  # entries one step of a blocked vectorised pass touches
 
 __all__ = [
     "SpectralType",
@@ -65,7 +67,7 @@ def _norm2(A) -> float:
     A = np.asarray(A)
     if not A.any():  # zero or empty; NaN is nonzero
         return 0.0
-    return float(np.linalg.norm(A, 2))
+    return float(np.linalg.svd(A, compute_uv=False)[0])
 
 
 def _require_finite(**matrices) -> None:
@@ -239,6 +241,31 @@ def _cluster_eigenvalues(eigvals: np.ndarray, gap: float) -> list[np.ndarray]:
     return sorted(groups, key=lambda g: g[0])
 
 
+def _cluster_geometry(eigvals: np.ndarray, clusters: list) -> tuple:
+    """Centre (the mean), extent and nearest-outside distance of each
+    cluster, as lists, in one vectorised pass: the means summed row by row
+    as ``np.mean`` sums, the distances in blocks of about ``_CHUNK`` entries."""
+    if not clusters:  # an empty matrix
+        return [], [], []
+    sizes = np.array([c.size for c in clusters])
+    starts = np.cumsum(sizes) - sizes
+    members = np.concatenate(clusters)
+    owner = np.repeat(np.arange(sizes.size), sizes)  # cluster of each member
+    center = np.empty(sizes.size, dtype=complex)
+    for k in set(sizes.tolist()):
+        rows = members[starts[sizes == k, None] + np.arange(k)]
+        center[sizes == k] = eigvals[rows].mean(axis=1)
+    d_in = np.maximum.reduceat(np.abs(eigvals[members] - center[owner]), starts)
+    d_out = np.empty(sizes.size)
+    step = max(1, _CHUNK // eigvals.size)
+    for lo in range(0, sizes.size, step):
+        dist = np.abs(eigvals - center[lo:lo + step, None])
+        span = slice(starts[lo], starts[lo] + sizes[lo:lo + step].sum())
+        dist[owner[span] - lo, members[span]] = math.inf
+        d_out[lo:lo + step] = dist.min(axis=1)
+    return center.tolist(), d_in.tolist(), d_out.tolist()
+
+
 def _one_norm_estimate(apply, size: int) -> float:
     """LAPACK zlacn2 (Higham 1988): a lower bound on the one-norm of the
     linear map ``apply(x, False)``, whose adjoint is ``apply(x, True)``.
@@ -248,10 +275,9 @@ def _one_norm_estimate(apply, size: int) -> float:
     """
     def signs(y):
         a = np.abs(y)
-        big = a > _TINY
         out = np.ones(size, dtype=complex)
-        out.real[big] = y.real[big] / a[big]
-        out.imag[big] = y.imag[big] / a[big]
+        np.divide(y.view(float).reshape(size, 2), a[:, None],
+                  out=out.view(float).reshape(size, 2), where=(a > _TINY)[:, None])
         return out
 
     try:
@@ -283,67 +309,62 @@ def _condition(R, m: int) -> tuple[float, float]:
 
     With R = [[R11, R12], [0, R22]], X solves R11 X - X R22 = R12 one row
     at a time, each a triangular solve (ztrtrs) with R11[i, i] I - R22,
-    whose diagonals are formed once per call; s = 1/sqrt(1 + ||X||_F^2)
-    and sep is one over zlacn2's estimate of the one-norm of the inverse
-    Sylvester map, applied the same way.  Where a solve is not finite
-    (ztrsyl would rescale) the estimate reads 0.
+    whose diagonals are formed once per call and written only when the row
+    changes; s = 1/sqrt(1 + ||X||_F^2) and sep is one over zlacn2's estimate
+    of the one-norm of the inverse Sylvester map, applied the same way.
+    Where a solve is not finite (ztrsyl would rescale) the estimate reads 0.
     """
     n = R.shape[0]
     if m == n:
         return 1.0, float(np.max(np.sum(np.abs(R), axis=0)))
-    R11, R12 = R[:m, :m], R[:m, m:]
+    R11, k = R[:m, :m], n - m
     # row i's diagonal goes into a copy of R22; solves take negated equations
     shifted = R[m:, m:].copy(order="F")
-    shifts = np.diag(shifted)[None, :] - np.diag(R11)[:, None]
-    diagonal = shifted.ravel(order="F")[::n - m + 1]
+    diagonal = shifted.ravel(order="F")[::k + 1]
+    shifts = diagonal - R11.diagonal()[:, None]
+    held = -1  # the row whose shifts ``diagonal`` holds
 
-    def solve(C, adjoint):
-        """X with R11 X - X R22 = C, or the adjoint map's solution."""
-        X = np.empty_like(C)
+    def apply(c, adjoint):
+        """vec(X) with R11 X - X R22 = C, or the adjoint map's solution,
+        for C = ``c`` as an m-by-(n - m) matrix, both column-major."""
+        nonlocal held
+        X = np.empty((m, k), dtype=complex, order="F")
         for i in (range(m) if adjoint else range(m - 1, -1, -1)):
-            diagonal[:] = shifts[i]
-            rhs = C[i]
+            if i != held:
+                diagonal[:], held = shifts[i], i
+            rhs = c[i::m]  # row i of C
             if adjoint and i:
                 rhs = rhs - R11[:i, i].conj() @ X[:i]
             elif not adjoint and i < m - 1:
                 rhs = rhs - R11[i, i + 1:] @ X[i + 1:]
             x, info = scipy.linalg.lapack.ztrtrs(
                 shifted, rhs.conj() if adjoint else rhs, trans=0 if adjoint else 1)
-            if info:
+            if info or not np.isfinite(x).all():
                 raise OverflowError
-            X[i] = -x.conj() if adjoint else -x
-        if not np.all(np.isfinite(X)):
-            raise OverflowError
-        return X
-
-    def apply(x, adjoint):
-        return solve(x.reshape(m, n - m, order="F"), adjoint).ravel(order="F")
+            np.negative(x.conj() if adjoint else x, out=X[i])
+        return X.ravel(order="F")
 
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            rnorm = float(scipy.linalg.blas.dznrm2(solve(R12, False).ravel()))
+            X = apply(R[:m, m:].ravel(order="F"), False).reshape(m, k, order="F")
+            rnorm = float(scipy.linalg.blas.dznrm2(X.ravel()))
         except OverflowError:
             rnorm = math.inf
         s = 1.0 if rnorm == 0.0 else 1.0 / (math.sqrt(1.0 / rnorm + rnorm)
                                              * math.sqrt(rnorm))
-        sep = 1.0 / _one_norm_estimate(apply, m * (n - m))
+        sep = 1.0 / _one_norm_estimate(apply, m * k)
     return s, sep
 
 
-def _root_entry(R, Z, Jm, eigvals, idx, scale, tol):
-    """Classify the cluster ``eigvals[idx]`` of T = Z R Z*.
+def _root_entry(R, Z, Jm, idx, center, d_in, d_out, scale, tol):
+    """Classify the cluster ``idx`` of T = Z R Z*, measured by ``_cluster_geometry``.
 
     The Schur eigenvalues inside the circle that separates the cluster
-    from the rest of ``eigvals`` are moved to the top of R as a whole, so
+    from the rest of the spectrum are moved to the top of R as a whole, so
     the leading columns of the reordered Z are an orthonormal basis B of
     the cluster's root subspace.  Returns the entry and B, a copy, so a
     kept basis does not hold the whole reordered Z.
     """
-    center = complex(np.mean(eigvals[idx]))
-    dist = np.abs(eigvals - center)
-    d_in = float(dist[idx].max())
-    dist[idx] = math.inf
-    d_out = float(dist.min())
     # past d_in = 0.94 d_out the separating circle of radius (d_in + d_out)/2
     # passes within 3 % of its radius of an eigenvalue
     if (d_out - d_in <= max(1e-12 * scale, 4.0 * d_in * 1e-10)
@@ -353,7 +374,7 @@ def _root_entry(R, Z, Jm, eigvals, idx, scale, tol):
             f"vs nearest outside eigenvalue {d_out:.3e}")
 
     n, m = R.shape[0], len(idx)
-    select = np.abs(np.diag(R) - center) < 0.5 * (d_in + d_out)
+    select = np.abs(R.diagonal() - center) < 0.5 * (d_in + d_out)
     if np.count_nonzero(select) != m:
         raise NumericalError(
             f"Schur form holds {np.count_nonzero(select)} eigenvalues of the "
@@ -375,19 +396,16 @@ def _root_entry(R, Z, Jm, eigvals, idx, scale, tol):
 
     G = B.conj().T @ Jm @ B
     G = 0.5 * (G + G.conj().T)
-    gram_eigs = np.linalg.eigvalsh(G)
-    if np.all(gram_eigs > tol):
-        t = SpectralType.POSITIVE
-    elif np.all(gram_eigs < -tol):
-        t = SpectralType.NEGATIVE
-    else:
-        t = SpectralType.NOT_DEFINITE
+    gram_eigs = np.linalg.eigvalsh(G)  # ascending: its ends decide the type
+    t = (SpectralType.POSITIVE if gram_eigs[0] > tol else SpectralType.NEGATIVE
+         if gram_eigs[-1] < -tol else SpectralType.NOT_DEFINITE)
 
     # the leading block is T restricted to the root subspace
-    geo_tol = max(tol * max(1.0, scale), 8.0 * d_in)
-    sv = (np.linalg.svd(R[:m, :m] - center * np.eye(m), compute_uv=False)
-          if m > 1 else np.zeros(0))  # one root: the count is clamped to 1
-    geo_mult = min(max(int(np.count_nonzero(sv <= geo_tol)), 1), m)
+    geo_mult = 1  # one root: the count is clamped to 1
+    if m > 1:
+        geo_tol = max(tol * max(1.0, scale), 8.0 * d_in)
+        sv = np.linalg.svd(R[:m, :m] - center * np.eye(m), compute_uv=False)
+        geo_mult = min(max(int(np.count_nonzero(sv <= geo_tol)), 1), m)
 
     entry = SpectrumEntry(lam=center, alg_mult=m, geo_mult=geo_mult, type=t,
                           gram_eigs=gram_eigs, s=float(s), sep=float(sep))
@@ -474,16 +492,16 @@ def _classified_roots(T, J, tol: float = 1e-8,
     clusters = _cluster_eigenvalues(eigvals, cluster_gap)
     if points is not None:
         label = np.empty(len(eigvals), dtype=int)
-        for i, c in enumerate(clusters):
-            label[c] = i
+        label[np.concatenate(clusters)] = np.repeat(np.arange(len(clusters)),
+                                                    [c.size for c in clusters])
         wanted = {int(label[d == d.min()].min())  # first cluster on a tie
                   for d in (np.abs(eigvals - p) for p in points)}
         clusters = [clusters[i] for i in sorted(wanted)]
 
     roots = []
-    for idx in clusters:
+    for idx, *geometry in zip(clusters, *_cluster_geometry(eigvals, clusters)):
         try:
-            roots.append(_root_entry(R, Z, Jm, eigvals, idx, scale, tol))
+            roots.append(_root_entry(R, Z, Jm, idx, *geometry, scale, tol))
         except (ContourError, NumericalError) as exc:
             if failures is None:
                 raise

@@ -153,7 +153,7 @@ def make_factor_spec(T, J, classification: ClassifiedSpectrum | None = None,
     T = np.asarray(T, dtype=complex)
     invol = J if isinstance(J, Involution) else validate_involution(J)
     defect = j_self_adjoint_defect(T, invol)  # refuses a non-finite T
-    scale = max(1.0, _norm2(T))
+    scale = max(1.0, _factorization(T)[0])  # memoised with the Schur form
     if defect > tol * scale:
         raise ValidationError(
             f"factor is not J-self-adjoint: defect {defect:.3e} > {tol * scale:.1e}")

@@ -29,7 +29,7 @@ from scipy.linalg import svdvals
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 from .errors import NumericalError, ValidationError
-from .krein import Involution, validate_involution
+from .krein import _CHUNK, Involution, validate_involution
 from .transversal import robin_fd
 
 __all__ = [
@@ -132,9 +132,6 @@ def _x_second_difference(grid: GridSpec) -> scipy.sparse.csr_matrix:
     indptr = (3 * idx - 1).clip(0, 3 * nx - 2)  # 0, 2, 5, ..., 3nx-2
     return scipy.sparse.csr_matrix(
         (data.ravel()[1:-1], cols.ravel()[1:-1], indptr), shape=(nx, nx))
-
-
-_CHUNK = 1 << 14  # entries one vectorised step of a compaction or check touches
 
 
 def assemble_waveguide(grid: GridSpec, alpha: Callable[[float], complex],

@@ -37,7 +37,8 @@ from kreinspec import (
 from kreinspec import krein
 from kreinspec.krein import (_classified_roots, _cluster_eigenvalues,
                              _factorization, _norm2)
-from kreinspec.tensorsum import _campaign_instance, make_factor_spec
+from kreinspec.tensorsum import (_CAMPAIGN_CYCLE, _campaign_instance,
+                                 make_factor_spec)
 
 FLIP2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIG2 = np.diag([1.0, -1.0])
@@ -378,6 +379,9 @@ class TestClassifySpectrum:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValidationError, match="incompatible shapes"):
             classify_spectrum(np.eye(2), np.eye(3))
+
+    def test_empty_matrix_has_no_clusters(self):
+        assert len(classify_spectrum(np.zeros((0, 0)), np.zeros((0, 0)))) == 0
 
     def test_points_of_type_helper(self):
         T, J = self.build_six_dim()
@@ -808,9 +812,9 @@ class TestQueryClusterSelection:
     def selected(monkeypatch, T, J, eigvals, points):
         seen, root_entry = [], krein._root_entry
 
-        def recording(R, Z, Jm, ev, idx, *rest):
+        def recording(R, Z, Jm, idx, *rest):
             seen.append(tuple(idx))
-            return root_entry(R, Z, Jm, ev, idx, *rest)
+            return root_entry(R, Z, Jm, idx, *rest)
 
         monkeypatch.setattr(krein, "_root_entry", recording)
         _classified_roots(T, J, eigvals=eigvals, points=points)
@@ -1036,6 +1040,13 @@ def reference_root_entry(R, Z, Jm, eigvals, idx, scale, tol):
     return entry, B
 
 
+def kernel_root_entry(R, Z, Jm, eigvals, idx, scale, tol):
+    """``_root_entry`` called as the reference is: the cluster's geometry
+    measured by the engine's own pass over ``eigvals``."""
+    geometry = [g[0] for g in krein._cluster_geometry(eigvals, [idx])]
+    return krein._root_entry(R, Z, Jm, idx, *geometry, scale, tol)
+
+
 def same_root(a, b):
     """Bitwise equality of two (entry, basis) pairs, gram_eigs by bytes."""
     (ea, Ba), (eb, Bb) = a, b
@@ -1089,7 +1100,7 @@ class TestKernelAgainstReference:
             idx = np.flatnonzero(np.abs(eigvals - 0.3 - 0.2j) < 0.05)
             assert idx.size == m
             args = (R, Z, Jm, eigvals, idx, _norm2(T), 1e-8)
-            got = outcome(krein._root_entry, *args)
+            got = outcome(kernel_root_entry, *args)
             want = outcome(reference_root_entry, *args)
             if isinstance(want, tuple):
                 assert same_root(got, want)
@@ -1103,15 +1114,25 @@ class TestKernelAgainstReference:
         assert krein._condition(T, 1) == reference_condition(T, 1) == (0.0, 0.0)
         args = (T, np.eye(n), np.eye(n, dtype=complex), np.diag(T),
                 np.array([0]), _norm2(T), 1e-8)
-        assert outcome(krein._root_entry, *args) is NumericalError
+        assert outcome(kernel_root_entry, *args) is NumericalError
         assert outcome(reference_root_entry, *args) is NumericalError
 
     @staticmethod
-    def both(monkeypatch, T, J, **kw):
+    def both(monkeypatch, T, J, failures=(None, None), **kw):
+        """One call through the engine and one through the reference
+        kernel, which measures its own cluster geometry; each run gets its
+        own entry of ``failures``."""
         monkeypatch.setattr(krein, "_factors", None)
-        got = _classified_roots(T, J, **kw)
-        monkeypatch.setattr(krein, "_root_entry", reference_root_entry)
-        want = _classified_roots(T, J, **kw)
+        got = _classified_roots(T, J, failures=failures[0], **kw)
+        eigvals = kw.pop("eigvals", None)
+        if eigvals is None:  # the engine's default
+            eigvals = np.linalg.eigvals(np.asarray(T, dtype=complex))
+
+        def reference(R, Z, Jm, idx, center, d_in, d_out, scale, tol):
+            return reference_root_entry(R, Z, Jm, eigvals, idx, scale, tol)
+
+        monkeypatch.setattr(krein, "_root_entry", reference)
+        want = _classified_roots(T, J, eigvals=eigvals, failures=failures[1], **kw)
         monkeypatch.undo()
         return got, want
 
@@ -1122,6 +1143,28 @@ class TestKernelAgainstReference:
         got, want = self.both(monkeypatch, S, J, cluster_gap=1e-6 * _norm2(S))
         assert len(got) == len(want) == dim
         assert all(same_root(a, b) for a, b in zip(got, want))
+
+    def test_every_campaign_kind(self, monkeypatch):
+        # one draw of each kind, the sum classified as the oracle does and
+        # each factor at the defaults: jordan and pair clusters (m = 2) and
+        # the clusters the engine cannot certify go through both kernels
+        rng = np.random.default_rng(11)
+        sizes, failed = set(), 0
+        for kind in dict.fromkeys(_CAMPAIGN_CYCLE):
+            f1, f2 = _campaign_instance(rng, kind)
+            S, J = kron_sum(f1, f2)
+            oracle = {"cluster_gap": 1e-6 * max(1.0, _norm2(S)),
+                      "eigvals": np.diag(_factorization(S)[1])}
+            for T, Jm, kw in ((S, J, oracle), (f1.t, f1.j, {}), (f2.t, f2.j, {})):
+                failures = ([], [])
+                got, want = self.both(monkeypatch, T, Jm, failures, **kw)
+                assert len(got) == len(want)
+                assert all(same_root(a, b) for a, b in zip(got, want))
+                assert ([type(e) for e in failures[0]]
+                        == [type(e) for e in failures[1]])
+                sizes.update(entry.alg_mult for entry, _ in got)
+                failed += len(failures[0])
+        assert 2 in sizes and failed
 
     @pytest.mark.parametrize("alpha0", [0.5, 1.7, 3.3])
     def test_robin_operator(self, monkeypatch, alpha0):
@@ -1164,3 +1207,10 @@ class TestNorm2:
         nan[1, 1] = np.nan
         with pytest.raises(np.linalg.LinAlgError):  # NaN reaches the SVD
             _norm2(nan)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (16, 16), (5, 3), (3, 7), (60, 60)])
+    def test_same_bits_as_numpy_norm(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        real = rng.standard_normal(shape) * np.exp(rng.uniform(-5, 5, shape))
+        for A in (real, real + 1j * rng.standard_normal(shape)):
+            assert _norm2(A).hex() == float(np.linalg.norm(A, 2)).hex()
