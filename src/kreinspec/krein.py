@@ -9,8 +9,10 @@ complex Schur form per matrix.  One vectorised pass per call measures the
 clusters' centres and distances; each cluster then costs a fixed sequence:
 a LAPACK ztrsen reorder, ztrsen's ``s`` and ``sep`` as its certificate (at
 most twelve Sylvester-map applications of one triangular solve (ztrtrs) per
-block row, not ztrsen's Sylvester solver), one Gram eigvalsh and, past one
-root, one SVD.  Riesz projections are the independent check.
+block row, not ztrsen's Sylvester solver), and the Gram matrix's
+eigenvalues.  A single root reads its 1-by-1 Gram eigenvalue as the real
+part, as zheevd does; a cluster of m > 1 roots pays one Gram eigvalsh and
+one SVD.  Riesz projections are the independent check.
 
 Classification runs on the root subspace, not just the eigenspace, so a
 Jordan block at a real eigenvalue is reported as not definite even
@@ -18,6 +20,8 @@ though every individual eigenvector may be non-neutral.
 """
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -266,39 +270,58 @@ def _cluster_geometry(eigvals: np.ndarray, clusters: list) -> tuple:
     return center.tolist(), d_in.tolist(), d_out.tolist()
 
 
+@functools.lru_cache(maxsize=64)
+def _zlacn2_vectors(size: int) -> tuple:
+    """zlacn2's start vector, every entry 1/size, and its alternating
+    vector (1 + i/(size - 1)) (-1)^i (None for size 1), read-only."""
+    start = np.full(size, 1.0 / size, dtype=complex)
+    alt = None
+    if size > 1:
+        alt = ((1.0 + np.arange(size) / (size - 1))
+               * (-1.0) ** np.arange(size)).astype(complex)
+        alt.flags.writeable = False
+    start.flags.writeable = False
+    return start, alt
+
+
 def _one_norm_estimate(apply, size: int) -> float:
     """LAPACK zlacn2 (Higham 1988): a lower bound on the one-norm of the
     linear map ``apply(x, False)``, whose adjoint is ``apply(x, True)``.
 
     The steps, tests and vectors are zlacn2's, so the estimate is
-    LAPACK's.  An ``OverflowError`` from ``apply`` ends it with ``inf``.
+    LAPACK's; its start and alternating vectors are built once per size.
+    An ``OverflowError`` from ``apply`` ends it with ``inf``.
     """
-    def signs(y):
-        a = np.abs(y)
+    start, alt = _zlacn2_vectors(size)
+
+    def signs(y, a):
+        """y/|y| entrywise, 1 where |y| = ``a`` is not above the smallest
+        normal double."""
         out = np.ones(size, dtype=complex)
         np.divide(y.view(float).reshape(size, 2), a[:, None],
                   out=out.view(float).reshape(size, 2), where=(a > _TINY)[:, None])
         return out
 
     try:
-        v = apply(np.full(size, 1.0 / size, dtype=complex), False)
-        est = float(np.abs(v).sum())
+        v = apply(start, False)
+        a = np.abs(v)
+        est = float(a.sum())
         if size == 1:
             return est
-        j = int(np.abs(apply(signs(v), True)).argmax())
+        j = int(np.abs(apply(signs(v, a), True)).argmax())
         e_j = np.zeros(size, dtype=complex)
         for _ in range(4):
             e_j[:], e_j[j] = 0.0, 1.0
             v = apply(e_j, False)
-            est, old = float(np.abs(v).sum()), est
+            a = np.abs(v)
+            est, old = float(a.sum()), est
             if est <= old:
                 break
-            y = np.abs(apply(signs(v), True))
+            y = np.abs(apply(signs(v, a), True))
             j, last = int(y.argmax()), j
             if y[last] == y[j]:
                 break
-        alt = (1.0 + np.arange(size) / (size - 1)) * (-1.0) ** np.arange(size)
-        v = apply(alt.astype(complex), False)
+        v = apply(alt, False)
     except OverflowError:
         return math.inf
     return max(est, 2.0 * (float(np.abs(v).sum()) / (3 * size)))
@@ -312,7 +335,9 @@ def _condition(R, m: int) -> tuple[float, float]:
     whose diagonals are formed once per call and written only when the row
     changes; s = 1/sqrt(1 + ||X||_F^2) and sep is one over zlacn2's estimate
     of the one-norm of the inverse Sylvester map, applied the same way.
-    Where a solve is not finite (ztrsyl would rescale) the estimate reads 0.
+    A single root (m = 1) has one row: its shift is written once and each
+    application is one solve, with no row loop or X buffer.  Where a solve
+    is not finite (ztrsyl would rescale) the estimate reads 0.
     """
     n = R.shape[0]
     if m == n:
@@ -321,28 +346,41 @@ def _condition(R, m: int) -> tuple[float, float]:
     # row i's diagonal goes into a copy of R22; solves take negated equations
     shifted = R[m:, m:].copy(order="F")
     diagonal = shifted.ravel(order="F")[::k + 1]
-    shifts = diagonal - R11.diagonal()[:, None]
-    held = -1  # the row whose shifts ``diagonal`` holds
+    ztrtrs = scipy.linalg.lapack.ztrtrs
 
-    def apply(c, adjoint):
-        """vec(X) with R11 X - X R22 = C, or the adjoint map's solution,
-        for C = ``c`` as an m-by-(n - m) matrix, both column-major."""
-        nonlocal held
-        X = np.empty((m, k), dtype=complex, order="F")
-        for i in (range(m) if adjoint else range(m - 1, -1, -1)):
-            if i != held:
-                diagonal[:], held = shifts[i], i
-            rhs = c[i::m]  # row i of C
-            if adjoint and i:
-                rhs = rhs - R11[:i, i].conj() @ X[:i]
-            elif not adjoint and i < m - 1:
-                rhs = rhs - R11[i, i + 1:] @ X[i + 1:]
-            x, info = scipy.linalg.lapack.ztrtrs(
-                shifted, rhs.conj() if adjoint else rhs, trans=0 if adjoint else 1)
+    if m == 1:
+        diagonal -= R[0, 0]
+
+        def apply(c, adjoint):
+            """The row-loop ``apply`` below for one row, where vec(X) = X."""
+            x, info = ztrtrs(shifted, c.conj() if adjoint else c,
+                             trans=0 if adjoint else 1)
             if info or not np.isfinite(x).all():
                 raise OverflowError
-            np.negative(x.conj() if adjoint else x, out=X[i])
-        return X.ravel(order="F")
+            return np.negative(x.conj() if adjoint else x)
+    else:
+        shifts = diagonal - R11.diagonal()[:, None]
+        held = -1  # the row whose shifts ``diagonal`` holds
+
+        def apply(c, adjoint):
+            """vec(X) with R11 X - X R22 = C, or the adjoint map's solution,
+            for C = ``c`` as an m-by-(n - m) matrix, both column-major."""
+            nonlocal held
+            X = np.empty((m, k), dtype=complex, order="F")
+            for i in (range(m) if adjoint else range(m - 1, -1, -1)):
+                if i != held:
+                    diagonal[:], held = shifts[i], i
+                rhs = c[i::m]  # row i of C
+                if adjoint and i:
+                    rhs = rhs - R11[:i, i].conj() @ X[:i]
+                elif not adjoint and i < m - 1:
+                    rhs = rhs - R11[i, i + 1:] @ X[i + 1:]
+                x, info = ztrtrs(shifted, rhs.conj() if adjoint else rhs,
+                                 trans=0 if adjoint else 1)
+                if info or not np.isfinite(x).all():
+                    raise OverflowError
+                np.negative(x.conj() if adjoint else x, out=X[i])
+            return X.ravel(order="F")
 
     with np.errstate(over="ignore", invalid="ignore"):
         try:
@@ -354,6 +392,12 @@ def _condition(R, m: int) -> tuple[float, float]:
                                              * math.sqrt(rnorm))
         sep = 1.0 / _one_norm_estimate(apply, m * k)
     return s, sep
+
+
+def _gram_eigenvalues(G: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvalsh(G)`` of a Hermitian G, bit for bit: of a 1-by-1
+    G its real part, which is what LAPACK zheevd returns for N = 1."""
+    return G.real[0].copy() if G.shape[0] == 1 else np.linalg.eigvalsh(G)
 
 
 def _root_entry(R, Z, Jm, idx, center, d_in, d_out, scale, tol):
@@ -396,7 +440,7 @@ def _root_entry(R, Z, Jm, idx, center, d_in, d_out, scale, tol):
 
     G = B.conj().T @ Jm @ B
     G = 0.5 * (G + G.conj().T)
-    gram_eigs = np.linalg.eigvalsh(G)  # ascending: its ends decide the type
+    gram_eigs = _gram_eigenvalues(G)  # ascending: its ends decide the type
     t = (SpectralType.POSITIVE if gram_eigs[0] > tol else SpectralType.NEGATIVE
          if gram_eigs[-1] < -tol else SpectralType.NOT_DEFINITE)
 
@@ -459,13 +503,29 @@ def _classified_roots(T, J, tol: float = 1e-8,
 
     A ``query`` point must lie on the spectrum, and selects its cluster.
     With a ``failures`` list, a cluster that raises ContourError or
-    NumericalError is appended to it and skipped instead.
+    NumericalError is appended to it and skipped instead.  A non-finite
+    ``query`` or ``points`` entry, an ``eigvals`` that is not a finite
+    array of shape (n,), and a negative or non-finite ``tol`` or
+    ``cluster_gap`` are ValidationErrors.
     """
     T = np.asarray(T, dtype=complex)
     Jm = np.asarray(_as_matrix(J), dtype=complex)
     if T.shape != Jm.shape or T.ndim != 2 or T.shape[0] != T.shape[1]:
         raise ValidationError(f"incompatible shapes T {T.shape}, J {Jm.shape}")
     _require_finite(T=T, J=Jm)
+    for name, value in (("tol", tol), ("cluster_gap", cluster_gap)):
+        if value is not None and not (value >= 0 and math.isfinite(value)):
+            raise ValidationError(f"{name} must be finite and non-negative, got {value}")
+    if query is not None and not cmath.isfinite(query):
+        raise ValidationError(f"query point {query} is not finite")
+    if points is not None:
+        _require_finite(points=np.asarray(points, dtype=complex))
+    if eigvals is not None:
+        eigvals = np.asarray(eigvals)
+        if eigvals.shape != T.shape[:1]:
+            raise ValidationError(f"eigvals must have shape ({T.shape[0]},), "
+                                  f"got {eigvals.shape}")
+        _require_finite(eigvals=eigvals)
     scale, R, Z = _factorization(T)
     if cluster_gap is None:
         cluster_gap = 1e-8 * max(1.0, scale)
@@ -599,10 +659,24 @@ class DefinitenessCertificate:
     dim_minus: int
 
 
-def _pencil_min(A: np.ndarray, M: np.ndarray) -> float:
+def _pencil_min(A: np.ndarray, M: np.ndarray, name: str) -> float:
+    """Smallest eigenvalue of the Hermitian pencil (A, M) of the basis
+    ``name``, M its Gram matrix: LAPACK zhegvd with the arguments
+    ``scipy.linalg.eigh(A, M, eigvals_only=True)`` passes it (itype 1,
+    uplo "L", no vectors), called directly.  A Gram matrix that overflows
+    or is not numerically positive definite is a ValidationError."""
     A = 0.5 * (A + A.conj().T)
     M = 0.5 * (M + M.conj().T)
-    return float(scipy.linalg.eigh(A, M, eigvals_only=True)[0])
+    if not (np.isfinite(A).all() and np.isfinite(M).all()):
+        raise ValidationError(f"the Gram matrices of {name} overflow")
+    w, _, info = scipy.linalg.lapack.zhegvd(A, M, uplo="L", jobz="N")
+    if info:
+        n = M.shape[0]
+        raise ValidationError(
+            f"the Gram matrix of {name} is not numerically positive definite "
+            f"(leading minor of order {info - n})" if info > n else
+            f"the pencil of {name} did not converge (zhegvd info {info})")
+    return float(w[0])
 
 
 def definiteness_constants(J, basis_plus: np.ndarray, basis_minus: np.ndarray,
@@ -633,8 +707,11 @@ def definiteness_constants(J, basis_plus: np.ndarray, basis_minus: np.ndarray,
     Bp = prep(basis_plus, "basis_plus")
     Bm = prep(basis_minus, "basis_minus")
 
-    kp = _pencil_min(Bp.conj().T @ Jm @ Bp, Bp.conj().T @ Bp) if Bp.shape[1] else math.inf
-    km = _pencil_min(-(Bm.conj().T @ Jm @ Bm), Bm.conj().T @ Bm) if Bm.shape[1] else math.inf
+    with np.errstate(over="ignore", invalid="ignore"):  # _pencil_min refuses it
+        kp = (_pencil_min(Bp.conj().T @ Jm @ Bp, Bp.conj().T @ Bp, "basis_plus")
+              if Bp.shape[1] else math.inf)
+        km = (_pencil_min(-(Bm.conj().T @ Jm @ Bm), Bm.conj().T @ Bm, "basis_minus")
+              if Bm.shape[1] else math.inf)
     if require_definite:
         if Bp.shape[1] and kp <= tol:
             raise ValidationError(f"plus subspace is not uniformly positive (kappa = {kp:.3e})")

@@ -473,10 +473,23 @@ def _sample_distinct(rng, count, existing=()):
     return vals[len(existing):]
 
 
-def _embed(n, idx, block):
+def _embed(n, i, j, block):
+    """The n-by-n identity with the 2-by-2 ``block`` in rows and columns i, j."""
     M = np.eye(n, dtype=complex)
-    M[np.ix_(idx, idx)] = block
+    M[i, i], M[i, j] = block[0, 0], block[0, 1]
+    M[j, i], M[j, j] = block[1, 0], block[1, 1]
     return M
+
+
+def _block_diagonal(blocks, n):
+    """The complex n-by-n matrix with the square ``blocks`` down its diagonal."""
+    T = np.zeros((n, n), dtype=complex)
+    at = 0
+    for block in blocks:
+        k = block.shape[0]
+        T[at:at + k, at:at + k] = block
+        at += k
+    return T
 
 
 def random_jsa_factor(rng: np.random.Generator,
@@ -529,7 +542,7 @@ def random_jsa_factor(rng: np.random.Generator,
     truth = [e for _, _, entries in pieces for e in entries]
     n, n_p, n_m = len(jdiag), len(plus_eigs), len(minus_eigs)
     plus_cols, minus_cols = list(range(n_p)), list(range(n_p, n_p + n_m))
-    T = scipy.linalg.block_diag(*blocks) if blocks else np.zeros((0, 0))
+    T = _block_diagonal(blocks, n)
     Jm = np.diag(jdiag)
     sig_plus = [i for i, s in enumerate(jdiag) if s > 0]
     sig_minus = [i for i, s in enumerate(jdiag) if s < 0]
@@ -543,8 +556,8 @@ def random_jsa_factor(rng: np.random.Generator,
         i = int(rng.choice(sig_plus))
         j = int(rng.choice(sig_minus))
         c, s = math.cosh(t), math.sinh(t)
-        H = _embed(n, [i, j], np.array([[c, s], [s, c]]))
-        Hinv = _embed(n, [i, j], np.array([[c, -s], [-s, c]]))
+        H = _embed(n, i, j, np.array([[c, s], [s, c]]))
+        Hinv = _embed(n, i, j, np.array([[c, -s], [-s, c]]))
         G, Ginv = G @ H, Hinv @ Ginv
     for idx in (sig_plus, sig_minus):
         if len(idx) >= 2:
@@ -553,8 +566,8 @@ def random_jsa_factor(rng: np.random.Generator,
             ph = np.exp(1j * float(rng.uniform(0, 2 * math.pi)))
             U2 = np.array([[math.cos(th), -math.sin(th) * ph],
                            [math.sin(th) * np.conj(ph), math.cos(th)]])
-            G = G @ _embed(n, [int(i), int(j)], U2)
-            Ginv = _embed(n, [int(i), int(j)], U2.conj().T) @ Ginv
+            G = G @ _embed(n, int(i), int(j), U2)
+            Ginv = _embed(n, int(i), int(j), U2.conj().T) @ Ginv
 
     T = G @ T @ Ginv
     Bp, Bm = G[:, plus_cols], G[:, minus_cols]

@@ -150,6 +150,49 @@ def test_non_finite_input_is_a_validation_error(site, bad):
         NONFINITE_INPUTS[site](np.diag([1.0, bad]), bad)
 
 
+# the engine behind classify_point, classify_spectrum and make_factor_spec
+# refuses each malformed argument before it reaches numpy or scipy
+def _nan_entry(ev):
+    ev = ev.copy()
+    ev[3] = math.nan
+    return ev
+
+
+BAD_ENGINE_ARGUMENTS = {
+    "nan-query": lambda T, J, ev: classify_point(T, J, complex(math.nan, 0.0)),
+    "inf-query": lambda T, J, ev: classify_point(T, J, math.inf),
+    "nan-point": lambda T, J, ev: classify_spectrum(T, J, points=[ev[0], math.nan]),
+    "short-eigvals": lambda T, J, ev: classify_spectrum(T, J, eigvals=ev[:-1]),
+    "column-eigvals": lambda T, J, ev: classify_point(T, J, ev[0], eigvals=ev[:, None]),
+    "nan-eigvals": lambda T, J, ev: classify_spectrum(T, J, eigvals=_nan_entry(ev)),
+    "negative-tol": lambda T, J, ev: classify_point(T, J, ev[0], tol=-1.0),
+    "nan-tol": lambda T, J, ev: make_factor_spec(T, J, tol=math.nan),
+    "inf-tol": lambda T, J, ev: classify_spectrum(T, J, tol=math.inf),
+    "negative-gap": lambda T, J, ev: classify_spectrum(T, J, cluster_gap=-1e-8),
+    "nan-gap": lambda T, J, ev: make_factor_spec(T, J, cluster_gap=math.nan),
+    "inf-gap": lambda T, J, ev: classify_point(T, J, ev[0], cluster_gap=math.inf),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ENGINE_ARGUMENTS))
+def test_malformed_engine_argument_is_a_validation_error(case):
+    T, J = robin_fd(math.pi / 2, 1.7j, 21)
+    eigvals = np.linalg.eigvals(T)
+    with pytest.raises(ValidationError, match="finite|shape"):
+        BAD_ENGINE_ARGUMENTS[case](T, J, eigvals)
+
+
+def test_negative_tol_is_refused_not_read_as_a_type():
+    # at tol = -1 every Gram eigenvalue would be "above -tol", so the
+    # negative eigenvalue near 153.28 would read as positive type
+    T, J = robin_fd(math.pi / 2, 1.7j, 21)
+    eigvals = np.linalg.eigvals(T)
+    lam = eigvals[np.argmin(np.abs(eigvals - 153.28))]
+    assert classify_point(T, J, lam).type is SpectralType.NEGATIVE
+    with pytest.raises(ValidationError, match="tol must be finite and non-negative"):
+        classify_point(T, J, lam, tol=-1.0)
+
+
 class TestDefect:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValidationError, match="shape mismatch"):
@@ -784,6 +827,46 @@ class TestDefinitenessConstants:
         with pytest.raises(ValidationError, match="rank deficient"):
             definiteness_constants(np.eye(3), B, np.zeros((3, 0)))
 
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    def test_gram_matrix_not_numerically_definite(self, side):
+        # e0 and e0 + 1e-8 e1 pass the rank test, but their Gram matrix
+        # [[1, 1], [1, 1 + 1e-16]] rounds to a singular one
+        J = np.diag([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
+        B = np.zeros((6, 2))
+        B[0] = 1.0
+        B[1, 1] = 1e-8
+        empty = np.zeros((6, 0))
+        with pytest.raises(ValidationError, match=f"basis_{side} is not "
+                           "numerically positive definite"):
+            if side == "plus":
+                definiteness_constants(J, B, empty)
+            else:
+                definiteness_constants(-J, empty, B)
+
+    def test_overflowing_gram_matrix(self):
+        # a finite basis of full rank whose Gram entry 1e400 overflows
+        with pytest.raises(ValidationError, match="Gram matrices of basis_plus overflow"):
+            definiteness_constants(SIG2, [[1e200], [0.0]], np.zeros((2, 0)))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_pencil_min_is_scipy_eigh_bit_for_bit(self, n):
+        # the direct zhegvd call against the scipy.linalg.eigh call it
+        # replaces, on seeded pencils (inputs not quite Hermitian, as
+        # rounded Gram products are)
+        def reference_pencil_min(A, M):
+            A = 0.5 * (A + A.conj().T)
+            M = 0.5 * (M + M.conj().T)
+            return float(scipy.linalg.eigh(A, M, eigvals_only=True)[0])
+
+        rng = np.random.default_rng(n)
+        for _ in range(8):
+            A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            C = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            A = A + A.conj().T + 1e-15 * rng.standard_normal((n, n))
+            M = C.conj().T @ C + 1e-3 * np.eye(n)
+            got = krein._pencil_min(A, M, "basis_plus")
+            assert got.hex() == reference_pencil_min(A, M).hex()
+
     def test_empty_bases_are_vacuous(self):
         cert = definiteness_constants(SIG2, np.zeros((2, 0)), np.zeros((2, 0)))
         assert math.isinf(cert.kappa_plus)
@@ -1192,6 +1275,81 @@ class TestKernelAgainstReference:
         assert (krein._one_norm_estimate(recorder(got), 40)
                 == reference_one_norm_estimate(recorder(want), 40))
         assert got == want and any(adjoint for adjoint, _ in got)
+
+
+@pytest.mark.parametrize("im", [0.0, -0.0, 2.5])
+@pytest.mark.parametrize("re", [0.0, -0.0, 1.5, -2.5, 5e-324, -1e300])
+def test_one_by_one_gram_rule_is_eigvalsh(re, im):
+    # a 1-by-1 Gram matrix's eigenvalue is read as its real part, which
+    # is what zheevd, behind np.linalg.eigvalsh, returns for N = 1
+    G = np.array([[complex(re, im)]])
+    got, want = krein._gram_eigenvalues(G), np.linalg.eigvalsh(G)
+    assert got.dtype == want.dtype and got.shape == want.shape == (1,)
+    assert got.tobytes() == want.tobytes()
+    G = np.array([[1.0, 2.0 + 1j], [2.0 - 1j, -3.0]])
+    assert krein._gram_eigenvalues(G).tobytes() == np.linalg.eigvalsh(G).tobytes()
+
+
+class TestRootEntryCutoffs:
+    """A cluster on each side of each of ``_root_entry``'s cutoffs; the
+    reference kernel must agree with each outcome."""
+
+    @staticmethod
+    def run(R, Jm, idx):
+        R = np.asarray(R, dtype=complex)
+        args = (R, np.eye(R.shape[0], dtype=complex),
+                np.asarray(Jm, dtype=complex), np.diag(R), np.asarray(idx),
+                _norm2(R), 1e-8)
+        got = outcome(kernel_root_entry, *args)
+        want = outcome(reference_root_entry, *args)
+        assert got is want if isinstance(want, type) else same_root(got, want)
+        return got
+
+    @pytest.mark.parametrize("ratio, isolated", [(0.935, True), (0.945, False)])
+    def test_isolation(self, ratio, isolated):
+        # the cluster -1, 0, 1 has centre 0 and extent 1; the outside pair
+        # +-i/ratio lies 1/ratio away, so d_in/d_out = ratio
+        R = np.diag([-1.0, 0.0, 1.0, 1j / ratio, -1j / ratio])
+        Jm = scipy.linalg.block_diag(np.eye(3), FLIP2)
+        center, d_in, d_out = (g[0] for g in krein._cluster_geometry(
+            np.diag(R), [np.arange(3)]))
+        assert (center, d_in, d_out) == (0.0, 1.0, 1.0 / ratio)
+        got = self.run(R, Jm, [0, 1, 2])
+        if isolated:
+            assert got[0].alg_mult == 3 and got[0].type is SpectralType.POSITIVE
+        else:
+            assert got is ContourError
+
+    @pytest.mark.parametrize("margin, certified", [(0.5, False), (2.0, True)])
+    def test_ill_conditioning(self, margin, certified):
+        # R = [[0, 1], [0, d]]: the root at 0 has s sep close to d^2, here
+        # ``margin`` times the cutoff 1e-8 max(1, ||R||)
+        d = math.sqrt(margin * 1e-8)
+        R = np.array([[0.0, 1.0], [0.0, d]])
+        s, sep = krein._condition(R.astype(complex), 1)
+        ratio = s * sep / (1e-8 * max(1.0, _norm2(R)))
+        assert 0.9 * margin < ratio < 1.1 * margin
+        got = self.run(R, np.eye(2), [0])
+        if certified:
+            assert got[0].s == s and got[0].sep == sep
+        else:
+            assert got is NumericalError
+
+    @pytest.mark.parametrize("spread", [0.0, 1e-6])
+    @pytest.mark.parametrize("fraction, geo_mult", [(0.75, 2), (1.5, 1)])
+    def test_geometric_multiplicity_count(self, spread, fraction, geo_mult):
+        # a double root +-spread with coupling e = fraction * geo_tol, the
+        # count's threshold (1e-8 ||R||, or 8 times the extent): its largest
+        # singular value sits just below or above the threshold
+        scale = 1.0
+        geo_tol = max(1e-8 * scale, 8.0 * spread)
+        e = fraction * geo_tol
+        R = np.array([[spread, e, 0.0], [0.0, -spread, 0.0], [0.0, 0.0, 1.0]])
+        assert _norm2(R) == scale
+        sv = np.linalg.svd(R[:2, :2], compute_uv=False)
+        assert (sv <= geo_tol).sum() == geo_mult
+        got = self.run(R, np.eye(3), [0, 1])
+        assert (got[0].alg_mult, got[0].geo_mult) == (2, geo_mult)
 
 
 class TestNorm2:

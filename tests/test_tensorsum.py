@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from kreinspec import (
     Interval,
@@ -27,6 +28,7 @@ from kreinspec import (
     validate_involution,
 )
 from kreinspec.krein import DefinitenessCertificate, _classified_roots, _norm2
+from kreinspec import tensorsum
 from kreinspec.tensorsum import (
     _BLOCK_RULES,
     _BLOCKS,
@@ -592,6 +594,71 @@ class TestGenerator:
             make_factor_spec(np.diag([1.0, 2.0]), np.eye(2),
                              basis_plus=[[1.0], [1.0]],
                              basis_minus=np.zeros((2, 0)))
+
+
+# The generator's canonical blocks and 2-by-2 embeddings as they were
+# written with np.ix_ and scipy.linalg.block_diag: the reference the
+# scalar stores and the block placement must match bit for bit.
+
+def reference_embed(n, i, j, block):
+    M = np.eye(n, dtype=complex)
+    M[np.ix_([i, j], [i, j])] = block
+    return M
+
+
+def reference_block_diagonal(blocks, n):
+    return scipy.linalg.block_diag(*blocks) if blocks else np.zeros((0, 0))
+
+
+def same_array(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestGeneratorAgainstReference:
+    def test_embed(self):
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            n = int(rng.integers(2, 9))
+            i, j = (int(k) for k in rng.choice(n, size=2, replace=False))
+            block = rng.standard_normal((2, 2))
+            if rng.integers(2):
+                block = block + 1j * rng.standard_normal((2, 2))
+            assert same_array(tensorsum._embed(n, i, j, block),
+                              reference_embed(n, i, j, block))
+
+    def test_block_diagonal(self):
+        rng = np.random.default_rng(1)
+        for _ in range(200):
+            sizes = rng.integers(1, 3, size=int(rng.integers(1, 8)))
+            blocks = [rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+                      for k in sizes]
+            n = int(sizes.sum())
+            assert same_array(tensorsum._block_diagonal(blocks, n),
+                              reference_block_diagonal(blocks, n))
+
+    @pytest.mark.parametrize("seed", [23, 4242])
+    def test_every_campaign_kind(self, monkeypatch, seed):
+        # every factor field, certificate and ground truth of one draw of
+        # each kind, with the reference helpers patched in for comparison
+        def draws():
+            rng = np.random.default_rng(seed)
+            return [_campaign_instance(rng, kind) for kind in _CAMPAIGN_CYCLE]
+
+        got = draws()
+        monkeypatch.setattr(tensorsum, "_embed", reference_embed)
+        monkeypatch.setattr(tensorsum, "_block_diagonal", reference_block_diagonal)
+        want = draws()
+        for pair_a, pair_b in zip(got, want):
+            for a, b in zip(pair_a, pair_b):
+                for field in ("t", "basis_plus", "basis_minus"):
+                    assert same_array(getattr(a, field), getattr(b, field))
+                assert same_array(a.j.matrix, b.j.matrix)
+                assert (dataclasses.astuple(a.certificate)
+                        == dataclasses.astuple(b.certificate))
+                assert ([(e.lam, e.type, e.gram_eigs.tobytes())
+                         for e in a.classification]
+                        == [(e.lam, e.type, e.gram_eigs.tobytes())
+                            for e in b.classification])
 
 
 class TestCampaign:
