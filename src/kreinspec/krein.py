@@ -81,9 +81,17 @@ def _require_finite(**matrices) -> None:
             raise ValidationError(f"{name} has a non-finite entry")
 
 
+def _require_tolerances(**values) -> None:
+    """ValidationError unless every value given (not None) is finite and >= 0."""
+    for name, value in values.items():
+        if value is not None and not (value >= 0 and math.isfinite(value)):
+            raise ValidationError(f"{name} must be finite and non-negative, got {value}")
+
+
 @dataclass(frozen=True, eq=False)
 class Involution:
-    """A validated symmetric involution; build via ``validate_involution``."""
+    """A symmetric involution: ||J - J*||, ||J^2 - I|| <= ``tol``, measured by
+    ``validate_involution`` or bounded from how J was built."""
 
     matrix: np.ndarray
     tol: float
@@ -99,6 +107,9 @@ def validate_involution(J, tol: float = 1e-10) -> Involution:
     Dense matrices are checked in spectral norm; sparse ones in Frobenius
     norm, which dominates the spectral norm and is therefore conservative.
     """
+    _require_tolerances(tol=tol)
+    if tol >= 1:
+        raise ValidationError(f"tol must be below 1 (J = 0 passes at 1), got {tol}")
     J = _as_matrix(J)
     if J.ndim != 2 or J.shape[0] != J.shape[1]:
         raise ValidationError(f"involution must be square, got shape {J.shape}")
@@ -120,14 +131,11 @@ def validate_involution(J, tol: float = 1e-10) -> Involution:
 
 def j_self_adjoint_defect(T, J) -> float:
     """||T - J T* J|| in spectral norm (Frobenius bound when sparse)."""
-    Jm = _as_matrix(J)
-    _require_finite(T=T, J=Jm)
-    if scipy.sparse.issparse(T) or scipy.sparse.issparse(Jm):
-        return _norm2(T - Jm @ T.conj().T @ Jm)
-    T = np.asarray(T, dtype=complex)
-    Jm = np.asarray(Jm, dtype=complex)
+    T, Jm = (A if scipy.sparse.issparse(A) else np.asarray(A, dtype=complex)
+             for A in (T, _as_matrix(J)))
     if T.shape != Jm.shape:
         raise ValidationError(f"shape mismatch: T {T.shape} vs J {Jm.shape}")
+    _require_finite(T=T, J=Jm)
     return _norm2(T - Jm @ T.conj().T @ Jm)
 
 
@@ -513,9 +521,7 @@ def _classified_roots(T, J, tol: float = 1e-8,
     if T.shape != Jm.shape or T.ndim != 2 or T.shape[0] != T.shape[1]:
         raise ValidationError(f"incompatible shapes T {T.shape}, J {Jm.shape}")
     _require_finite(T=T, J=Jm)
-    for name, value in (("tol", tol), ("cluster_gap", cluster_gap)):
-        if value is not None and not (value >= 0 and math.isfinite(value)):
-            raise ValidationError(f"{name} must be finite and non-negative, got {value}")
+    _require_tolerances(tol=tol, cluster_gap=cluster_gap)
     if query is not None and not cmath.isfinite(query):
         raise ValidationError(f"query point {query} is not finite")
     if points is not None:
@@ -606,6 +612,7 @@ def theta_operator(projections: Iterable[np.ndarray],
     with smallest eigenvalue at least 1/n (Cauchy-Schwarz on the splitting
     f = sum_k P_k f), and Theta P_j = P_j* Theta for every member.
     """
+    _require_tolerances(tol=tol)
     Ps = [np.asarray(P, dtype=complex) for P in projections]
     if not Ps:
         raise ValidationError("projection family is empty")
@@ -688,6 +695,7 @@ def definiteness_constants(J, basis_plus: np.ndarray, basis_minus: np.ndarray,
     Hermitian pencils against the plain Gram matrices, so they are exact
     subspace quantities, not per-column ones.
     """
+    _require_tolerances(tol=tol)
     Jm = np.asarray(_as_matrix(J), dtype=complex)
     _require_finite(J=Jm)
     n = Jm.shape[0]

@@ -28,7 +28,7 @@ from .errors import NumericalError, ValidationError
 from .krein import (ClassifiedSpectrum, DefinitenessCertificate, Involution,
                     SpectralType, SpectrumEntry, _classified_roots,
                     _cluster_eigenvalues, _factorization, _norm2, _position,
-                    _require_finite, definiteness_constants,
+                    _require_finite, _require_tolerances, definiteness_constants,
                     j_self_adjoint_defect, validate_involution)
 from .realsets import RealLineSet, minkowski_add_points
 
@@ -118,38 +118,18 @@ class FactorSpec:
         return self.t.shape[0]
 
 
-def _invariance_residual(T, B) -> float:
-    if B.shape[1] == 0:
-        return 0.0
-    Q = np.linalg.qr(B)[0]
-    pi = Q @ Q.conj().T
-    return _norm2((np.eye(T.shape[0]) - pi) @ T @ pi)
-
-
-def _definite_bases(T, classification, roots):
-    """Orthonormal bases of the positive and negative root subspaces: each
-    definite entry takes the basis of the nearest of ``roots``."""
-    lams = np.array([e.lam for e, _ in roots], dtype=complex)
-    cols = {_P: [], _M: []}
-    for e in classification.entries:
-        if e.type in cols:
-            cols[e.type].append(roots[int(np.argmin(np.abs(lams - e.lam)))][1])
-    n = T.shape[0]
-    return tuple(np.hstack(c) if c else np.zeros((n, 0), dtype=complex)
-                 for c in (cols[_P], cols[_M]))
-
-
-def make_factor_spec(T, J, classification: ClassifiedSpectrum | None = None,
-                     basis_plus: np.ndarray | None = None,
-                     basis_minus: np.ndarray | None = None,
-                     with_certificate: bool = True, tol: float = 1e-8,
+def make_factor_spec(T, J, tol: float = 1e-8,
                      cluster_gap: float | None = None) -> FactorSpec:
-    """Validate and assemble a FactorSpec, filling missing pieces.
+    """Classify a J-self-adjoint factor and certify its definite subspaces.
 
-    Without an explicit classification the spectrum is classified here;
-    missing bases default to the definite root subspaces, read from the
-    same reordered Schur form that classifies.
+    One engine pass (``classify_spectrum``'s) gives the classification and
+    the orthonormal root bases of its clusters; ``basis_plus`` and
+    ``basis_minus`` stack those of the positive and of the negative
+    entries, in entry order, and the certificate holds their definiteness
+    constants.  For exclusion-only predictions, drop the certificate with
+    ``dataclasses.replace(spec, certificate=None)``.
     """
+    _require_tolerances(tol=tol, cluster_gap=cluster_gap)
     T = np.asarray(T, dtype=complex)
     invol = J if isinstance(J, Involution) else validate_involution(J)
     defect = j_self_adjoint_defect(T, invol)  # refuses a non-finite T
@@ -157,31 +137,14 @@ def make_factor_spec(T, J, classification: ClassifiedSpectrum | None = None,
     if defect > tol * scale:
         raise ValidationError(
             f"factor is not J-self-adjoint: defect {defect:.3e} > {tol * scale:.1e}")
-    roots = None
-    if classification is None:
-        roots = _classified_roots(T, invol, tol=tol, cluster_gap=cluster_gap)
-        classification = ClassifiedSpectrum(tuple(e for e, _ in roots))
-    if basis_plus is None or basis_minus is None:
-        if roots is None:
-            roots = _classified_roots(T, invol, tol=tol, cluster_gap=cluster_gap,
-                                      points=[e.lam for e in classification.entries
-                                              if e.type is not _0])
-        Bp, Bm = _definite_bases(T, classification, roots)
-        basis_plus = Bp if basis_plus is None else basis_plus
-        basis_minus = Bm if basis_minus is None else basis_minus
-    basis_plus = np.asarray(basis_plus, dtype=complex).reshape(T.shape[0], -1)
-    basis_minus = np.asarray(basis_minus, dtype=complex).reshape(T.shape[0], -1)
-    for name, B in (("basis_plus", basis_plus), ("basis_minus", basis_minus)):
-        res = _invariance_residual(T, B)
-        if res > math.sqrt(tol) * scale:
-            raise ValidationError(f"{name} does not span an invariant subspace "
-                                  f"(residual {res:.3e})")
-    certificate = None
-    if with_certificate:
-        certificate = definiteness_constants(invol.matrix, basis_plus, basis_minus)
-    return FactorSpec(t=T, j=invol, classification=classification,
-                      basis_plus=basis_plus, basis_minus=basis_minus,
-                      certificate=certificate)
+    roots = _classified_roots(T, invol, tol=tol, cluster_gap=cluster_gap)
+    empty = np.zeros((T.shape[0], 0), dtype=complex)
+    Bp, Bm = (np.hstack([B for e, B in roots if e.type is t] or [empty])
+              for t in (_P, _M))
+    return FactorSpec(t=T, j=invol,
+                      classification=ClassifiedSpectrum(tuple(e for e, _ in roots)),
+                      basis_plus=Bp, basis_minus=Bm,
+                      certificate=definiteness_constants(invol.matrix, Bp, Bm))
 
 
 # ---------------------------------------------------------------------------
@@ -190,15 +153,17 @@ def make_factor_spec(T, J, classification: ClassifiedSpectrum | None = None,
 
 def kron_sum(f1: FactorSpec, f2: FactorSpec,
              dim_cap: int = DIM_CAP) -> tuple[np.ndarray, Involution]:
-    """S = T1 (x) I + I (x) T2 with the product involution J1 (x) J2."""
+    """S = T1 (x) I + I (x) T2 with the product involution J1 (x) J2,
+    whose ``tol`` is bounded from the factors', not measured."""
     n1, n2 = f1.n, f2.n
     if n1 * n2 > dim_cap:
         raise ValidationError(
             f"product dimension {n1 * n2} exceeds the cap {dim_cap}")
     S = np.kron(f1.t, np.eye(n2)) + np.kron(np.eye(n1), f2.t)
-    Jm = np.kron(np.asarray(f1.j.matrix), np.asarray(f2.j.matrix))
-    J = validate_involution(Jm, tol=max(f1.j.tol, f2.j.tol) * 4)
-    return S, J
+    # with t_i = f_i.j.tol < 1, ||J_i|| <= 1 + t_i, so ||J - J*|| and
+    # ||J^2 - I|| are at most t_1 + t_2 + 2 t_1 t_2 <= 4 max(t_1, t_2)
+    Jm = np.kron(f1.j.matrix, f2.j.matrix).astype(complex, copy=False)
+    return S, Involution(Jm, tol=4 * max(f1.j.tol, f2.j.tol))
 
 
 # ---------------------------------------------------------------------------
@@ -302,15 +267,17 @@ def predict_types(f1: FactorSpec, f2: FactorSpec,
     certificates: when both factors carry one, they upgrade well-separated
     points of the definite block spectra to exact type statements; a point
     qualifies only if its distance to every other block spectrum exceeds
-    ``separation_radius`` (default 1e-4 times the sum's norm bound).  A
-    factor without a certificate (``make_factor_spec(...,
-    with_certificate=False)``) gives exclusion-only predictions.
+    ``separation_radius`` (default 1e-4 times the sum's norm bound; a
+    given one must be finite and non-negative).  A factor without a
+    certificate (``dataclasses.replace(f, certificate=None)``) gives
+    exclusion-only predictions.
     """
     return _predictions(f1, f2, separation_radius, _COALESCE_TOL)[0]
 
 
 def _predictions(f1, f2, separation_radius, coalesce_tol):
     """``predict_types``' constraints and the (rep, tags) sum groups."""
+    _require_tolerances(separation_radius=separation_radius)
     scale = _norm2(f1.t) + _norm2(f2.t)
     if separation_radius is None:
         separation_radius = 1e-4 * max(1.0, scale)
@@ -422,6 +389,7 @@ def oracle_classify_and_compare(f1: FactorSpec, f2: FactorSpec,
 def build_phi(theta1: np.ndarray, theta2: np.ndarray,
               tol: float = 1e-10) -> np.ndarray:
     """Phi = Theta1 (x) Theta2 for uniformly positive Theta factors."""
+    _require_tolerances(tol=tol)
     phi_parts = []
     for name, th in (("theta1", theta1), ("theta2", theta2)):
         th = np.asarray(th, dtype=complex)
@@ -458,6 +426,13 @@ def random_involution(rng: np.random.Generator, n: int,
                          + 1j * rng.standard_normal((n, n)))[0]
         return W @ np.diag(rng.choice([-1.0, 1.0], size=n)) @ W.conj().T
     raise ValidationError(f"unknown involution kind {kind!r}")
+
+
+def _require_counts(**values) -> None:
+    """ValidationError unless every value is a non-negative integer."""
+    for name, value in values.items():
+        if not (isinstance(value, (int, np.integer)) and value >= 0):
+            raise ValidationError(f"{name} must be a non-negative integer, got {value!r}")
 
 
 def _sample_distinct(rng, count, existing=()):
@@ -511,6 +486,9 @@ def random_jsa_factor(rng: np.random.Generator,
     result is J-self-adjoint to machine precision.  The returned
     classification is the constructed ground truth, not a re-measurement.
     """
+    _require_counts(n_plus=n_plus, n_minus=n_minus, n_jordan=n_jordan,
+                    n_pairs=n_pairs)
+    _require_tolerances(mixing_strength=mixing_strength)
     given = (plus_eigs, minus_eigs, jordan_eigs, pair_eigs)
     counts = (n_plus, n_minus, n_jordan, n_pairs)
     reals = iter(_sample_distinct(
@@ -683,6 +661,7 @@ def run_campaign(seed: int, n_instances: int = 200,
     Deterministic for a fixed seed.  Each record carries the instance kind,
     the product dimension, and the violation/failure counts.
     """
+    _require_counts(seed=seed, n_instances=n_instances)
     rng = np.random.default_rng(seed)
     records = []
     kind_counts: dict[str, int] = {}

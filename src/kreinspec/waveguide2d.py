@@ -17,7 +17,7 @@ window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import product
 from typing import Callable, Sequence
@@ -29,7 +29,7 @@ from scipy.linalg import svdvals
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 from .errors import NumericalError, ValidationError
-from .krein import _CHUNK, Involution, validate_involution
+from .krein import _CHUNK, Involution
 from .transversal import robin_fd
 
 __all__ = [
@@ -151,7 +151,7 @@ def assemble_waveguide(grid: GridSpec, alpha: Callable[[float], complex],
     dropped and indices sorted, so the arrays equal that sum's bit for
     bit; no Kronecker product, sparse sum or other nnz-sized copy is made,
     since the kept slots are compacted in place into H's data and indices.
-    J is built from its index arrays.
+    J is built and checked as an involution on its index arrays.
     """
     grid.validate()
     x, y = grid.x_nodes().tolist(), grid.y_nodes().tolist()
@@ -215,10 +215,13 @@ def assemble_waveguide(grid: GridSpec, alpha: Callable[[float], complex],
         nnz += m
     H = scipy.sparse.csr_matrix((data[:nnz], indices[:nnz], indptr), shape=(n, n))
 
+    # a 0/1 permutation is symmetric iff it is an involution: exact, default tol
+    flip = node[:, ::-1].ravel()
+    if not np.array_equal(flip[flip], node.ravel()):
+        raise ValidationError("the y-flip is not an involution")
     Jm = scipy.sparse.csr_matrix(
-        (np.ones(n), node[:, ::-1].ravel(), np.arange(n + 1, dtype=np.int32)),
-        shape=(n, n))
-    return WaveguideOperator(grid=grid, H=H, J=validate_involution(Jm),
+        (np.ones(n), flip, np.arange(n + 1, dtype=np.int32)), shape=(n, n))
+    return WaveguideOperator(grid=grid, H=H, J=Involution(Jm, tol=1e-10),
                              alpha_samples=alpha_samples, V_samples=V_samples)
 
 

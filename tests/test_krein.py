@@ -17,9 +17,11 @@ from kreinspec import (
     ClassifiedSpectrum,
     ContourError,
     Discretized,
+    GridSpec,
     NumericalError,
     SpectralType,
     ValidationError,
+    assemble_waveguide,
     build_phi,
     classify_point,
     classify_spectrum,
@@ -27,6 +29,7 @@ from kreinspec import (
     j_self_adjoint_defect,
     kron_sum,
     longitudinal_spectrum,
+    predict_types,
     riesz_projection,
     robin_fd,
     secular_roots,
@@ -34,7 +37,7 @@ from kreinspec import (
     transversal_modes,
     validate_involution,
 )
-from kreinspec import krein
+from kreinspec import krein, tensorsum, waveguide2d
 from kreinspec.krein import (_classified_roots, _cluster_eigenvalues,
                              _factorization, _norm2)
 from kreinspec.tensorsum import (_CAMPAIGN_CYCLE, _campaign_instance,
@@ -99,6 +102,33 @@ class TestValidateInvolution:
         with pytest.raises(ValidationError):
             validate_involution(J, tol=1e-10)
         validate_involution(J, tol=1e-4)
+
+
+def test_built_involutions_are_not_measured(monkeypatch):
+    # kron_sum and assemble_waveguide know their J from its structure, so
+    # they take no norm of it: no SVD, no sparse norm, no validate_involution
+    f1, f2 = _campaign_instance(np.random.default_rng(5), "definite")
+    calls = []
+
+    def spy(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((np.linalg, "svd"), (scipy.linalg, "svd"),
+                         (scipy.linalg, "svdvals"), (waveguide2d, "svdvals"),
+                         (scipy.sparse.linalg, "norm"),
+                         (krein, "validate_involution"),
+                         (tensorsum, "validate_involution")):
+        spy(module, name)
+    S, J = kron_sum(f1, f2)
+    op = assemble_waveguide(GridSpec(a=math.pi / 2, Lx=5.0, nx=12, ny=8),
+                            lambda x: 0.5j, lambda x, y: 0.0)
+    assert calls == []
+    assert J.tol == 4 * max(f1.j.tol, f2.j.tol) and op.J.tol == 1e-10
 
 
 # each entry point refuses a NaN or inf in T or J (sparse: stored entries)
@@ -182,6 +212,40 @@ def test_malformed_engine_argument_is_a_validation_error(case):
         BAD_ENGINE_ARGUMENTS[case](T, J, eigvals)
 
 
+# a NaN, infinite or negative tolerance would pass every check it gates;
+# each input here is refused at a valid tolerance
+def _factor():
+    return make_factor_spec(np.diag([1.0, 2.0]), SIG2)
+
+
+BAD_TOLERANCES = {
+    "validate_involution": lambda tol: validate_involution(2.0 * np.eye(2), tol=tol),
+    "theta_operator": lambda tol: theta_operator([np.eye(2), np.eye(2)], tol=tol),
+    "build_phi": lambda tol: build_phi(np.array([[1.0, 1.0], [0.0, 1.0]]),
+                                       np.eye(2), tol=tol),
+    "definiteness_constants": lambda tol: definiteness_constants(
+        SIG2, [[0.0], [1.0]], np.zeros((2, 0)), tol=tol),
+    "predict_types": lambda tol: predict_types(_factor(), _factor(),
+                                               separation_radius=tol),
+    "make_factor_spec": lambda tol: make_factor_spec(
+        np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2), tol=tol),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("site", sorted(BAD_TOLERANCES))
+def test_bad_tolerance_is_a_validation_error(site, bad):
+    with pytest.raises(ValidationError, match="must be finite and non-negative"):
+        BAD_TOLERANCES[site](bad)
+
+
+def test_involution_tolerance_must_be_below_one():
+    # at tol = 1 the zero matrix has ||J - J*|| = 0 and ||J^2 - I|| = 1
+    with pytest.raises(ValidationError, match="below 1"):
+        validate_involution(np.zeros((2, 2)), tol=1.0)
+    assert validate_involution(np.eye(2), tol=0.0).tol == 0.0
+
+
 def test_negative_tol_is_refused_not_read_as_a_type():
     # at tol = -1 every Gram eigenvalue would be "above -tol", so the
     # negative eigenvalue near 153.28 would read as positive type
@@ -195,8 +259,11 @@ def test_negative_tol_is_refused_not_read_as_a_type():
 
 class TestDefect:
     def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValidationError, match="shape mismatch"):
-            j_self_adjoint_defect(np.eye(2), np.eye(3))
+        # dense, sparse or mixed, never numpy's or scipy's own error
+        for T in (np.eye(2), scipy.sparse.eye(2, format="csr")):
+            for J in (np.eye(3), scipy.sparse.eye(3, format="csr")):
+                with pytest.raises(ValidationError, match="shape mismatch"):
+                    j_self_adjoint_defect(T, J)
 
     def test_hermitian_with_identity(self):
         A = np.array([[2.0, 1.0 + 1j], [1.0 - 1j, 5.0]])
@@ -1008,6 +1075,57 @@ class TestConditionAgainstZtrsen:
         assert ztrsen_b(np.eye(1, n, 0, dtype=bool)[0], T, np.eye(n))[2:] == (0.0, 0.0)
         with pytest.raises(NumericalError, match="ill-conditioned"):
             classify_point(T, np.eye(n), 1e-7, eigvals=np.diag(T))
+
+
+def campaign_roots(seed, draws=30):
+    """Every engine entry of the first ``draws`` campaign instances at
+    ``seed``: both factors at the default gap, the sum at the oracle's.
+    Each sum's J is checked to pass ``validate_involution`` at its tol."""
+    rng = np.random.default_rng(seed)
+    for k in range(draws):
+        f1, f2 = _campaign_instance(rng, _CAMPAIGN_CYCLE[k % len(_CAMPAIGN_CYCLE)])
+        for f in (f1, f2):
+            yield from (e for e, _ in _classified_roots(f.t, f.j, failures=[]))
+        S, J = kron_sum(f1, f2)
+        validate_involution(J.matrix, J.tol)
+        norm, R, _ = _factorization(S)
+        yield from (e for e, _ in _classified_roots(
+            S, J, cluster_gap=1e-6 * max(1.0, norm), eigvals=np.diag(R),
+            failures=[]))
+
+
+class TestGramMarginIdentity:
+    """For unitary J and a real cluster with orthonormal root basis B, J B
+    spans the left root subspace, so the spectral projector is
+    B G^-1 B* J with G = B* J B and its norm is 1/min|eig G|.  ztrsen's s
+    is at most one over that norm, and equal to it for a single root."""
+
+    @staticmethod
+    def check(entries, rtol):
+        """(simple, multiple) counts of the real clusters checked."""
+        simple = multiple = 0
+        for e in entries:
+            if abs(e.lam.imag) > 1e-6 * max(1.0, abs(e.lam)):
+                continue
+            margin = float(np.min(np.abs(e.gram_eigs)))
+            if e.alg_mult == 1 and e.type is not SpectralType.NOT_DEFINITE:
+                assert abs(e.s / margin - 1.0) <= rtol, e
+                simple += 1
+            elif e.alg_mult > 1:
+                assert e.s <= margin * (1.0 + 1e-12), e
+                multiple += 1
+        return simple, multiple
+
+    @pytest.mark.parametrize("seed", [23, 4242])
+    def test_campaign(self, seed):
+        simple, multiple = self.check(campaign_roots(seed), 1e-12)
+        assert simple > 400 and multiple > 0
+
+    @pytest.mark.parametrize("alpha0", [0.5, 1.7, 3.3])
+    def test_robin_operator(self, alpha0):
+        T, J = robin_fd(math.pi / 2, 1j * alpha0, 121)
+        simple, _ = self.check(classify_spectrum(T, J), 1e-10)
+        assert simple > 100
 
 
 # The kernel as it was before each cluster's shifts, right-hand sides and

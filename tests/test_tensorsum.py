@@ -251,12 +251,11 @@ class TestPredictTypes:
         # definite pair: block rules make the pp sum 1 plus type; without
         # certificates only the exclusions remain, and the oracle agrees
         J = np.diag([1.0, -1.0])
-        for with_certificate, want in ((True, TypeConstraint.MUST_BE_PLUS),
-                                       (False, TypeConstraint.NOT_MINUS)):
-            f1, f2 = (make_factor_spec(np.diag(d), J,
-                                       with_certificate=with_certificate)
-                      for d in ([1.0, 5.0], [0.0, 2.5]))
-            assert (f1.certificate is None) is not with_certificate
+        specs = [make_factor_spec(np.diag(d), J) for d in ([1.0, 5.0], [0.0, 2.5])]
+        for f1, f2, want in (
+                (*specs, TypeConstraint.MUST_BE_PLUS),
+                (*(dataclasses.replace(f, certificate=None) for f in specs),
+                 TypeConstraint.NOT_MINUS)):
             assert lookup(predict_types(f1, f2), 1.0) is want
             report = oracle_classify_and_compare(f1, f2)
             assert report.ok and report.oracle_failures == report.unmatched == 0
@@ -494,6 +493,16 @@ class TestGenerator:
         with pytest.raises(ValidationError, match="kind"):
             random_involution(rng, 3, "bogus")
 
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"n_plus": -1}, "n_plus must be a non-negative integer"),
+        ({"n_jordan": 1.5}, "n_jordan must be a non-negative integer"),
+        ({"mixing_strength": math.nan}, "mixing_strength must be finite"),
+        ({"mixing_strength": -0.4}, "mixing_strength must be finite"),
+    ])
+    def test_bad_generator_argument_is_a_validation_error(self, kwargs, match):
+        with pytest.raises(ValidationError, match=match):
+            random_jsa_factor(np.random.default_rng(0), **kwargs)
+
     def test_truth_matches_measured_classification(self):
         for seed in range(15):
             rng = np.random.default_rng(100 + seed)
@@ -575,12 +584,10 @@ class TestGenerator:
                                                          abs=1e-6)
 
     def test_default_bases_for_given_classification(self):
-        # bases are filled in for the definite points only, so the Jordan
-        # pair is never classified; they span the generator's subspaces
+        # the engine's root bases span the generator's definite subspaces
         rng = np.random.default_rng(8)
-        f = random_jsa_factor(rng, n_plus=2, n_minus=2, n_jordan=1,
-                              mixing_strength=0.8)
-        g = make_factor_spec(f.t, f.j, classification=f.classification)
+        f = random_jsa_factor(rng, n_plus=2, n_minus=2, mixing_strength=0.8)
+        g = make_factor_spec(f.t, f.j)
         for got, want in ((g.basis_plus, f.basis_plus),
                           (g.basis_minus, f.basis_minus)):
             assert got.shape == want.shape
@@ -590,10 +597,6 @@ class TestGenerator:
     def test_make_factor_spec_rejects_non_jsa(self):
         with pytest.raises(ValidationError, match="self-adjoint"):
             make_factor_spec(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
-        with pytest.raises(ValidationError, match="invariant subspace"):
-            make_factor_spec(np.diag([1.0, 2.0]), np.eye(2),
-                             basis_plus=[[1.0], [1.0]],
-                             basis_minus=np.zeros((2, 0)))
 
 
 # The generator's canonical blocks and 2-by-2 embeddings as they were
@@ -669,6 +672,12 @@ class TestCampaign:
                                       "pair": 2, "hermitian": 2, "big": 2}
         again = run_campaign(seed=7, n_instances=20)
         assert again.instances == result.instances
+
+    @pytest.mark.parametrize("seed, n_instances", [(1, -3), (-1, 2), (1, 2.5),
+                                                   (1.0, 2)])
+    def test_bad_seed_or_count_is_a_validation_error(self, seed, n_instances):
+        with pytest.raises(ValidationError, match="non-negative integer"):
+            run_campaign(seed, n_instances)
 
     def test_default_campaign_has_no_failures_or_unmatched_points(self):
         # criterion 6 gates the violations; oracle failures and unmatched
