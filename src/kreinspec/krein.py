@@ -88,6 +88,13 @@ def _require_tolerances(**values) -> None:
             raise ValidationError(f"{name} must be finite and non-negative, got {value}")
 
 
+def _require_counts(**values) -> None:
+    """ValidationError unless every value is a non-negative integer."""
+    for name, value in values.items():
+        if not (isinstance(value, (int, np.integer)) and value >= 0):
+            raise ValidationError(f"{name} must be a non-negative integer, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class Involution:
     """A symmetric involution: ||J - J*||, ||J^2 - I|| <= ``tol``, measured by
@@ -95,6 +102,9 @@ class Involution:
 
     matrix: np.ndarray
     tol: float
+
+    def __post_init__(self):
+        _require_tolerances(tol=self.tol)
 
     @property
     def n(self) -> int:
@@ -197,6 +207,7 @@ def riesz_projection(T: np.ndarray, center: complex, radius: float,
     _require_finite(T=T)
     if not (radius > 0 and math.isfinite(radius)):
         raise ValidationError(f"contour radius must be positive and finite, got {radius}")
+    _require_counts(nodes=nodes)
     if nodes < 16:
         raise ValidationError(f"need at least 16 quadrature nodes, got {nodes}")
     margin = radius / 100.0

@@ -28,8 +28,9 @@ from .errors import NumericalError, ValidationError
 from .krein import (ClassifiedSpectrum, DefinitenessCertificate, Involution,
                     SpectralType, SpectrumEntry, _classified_roots,
                     _cluster_eigenvalues, _factorization, _norm2, _position,
-                    _require_finite, _require_tolerances, definiteness_constants,
-                    j_self_adjoint_defect, validate_involution)
+                    _require_counts, _require_finite, _require_tolerances,
+                    definiteness_constants, j_self_adjoint_defect,
+                    validate_involution)
 from .realsets import RealLineSet, minkowski_add_points
 
 __all__ = [
@@ -426,13 +427,6 @@ def random_involution(rng: np.random.Generator, n: int,
                          + 1j * rng.standard_normal((n, n)))[0]
         return W @ np.diag(rng.choice([-1.0, 1.0], size=n)) @ W.conj().T
     raise ValidationError(f"unknown involution kind {kind!r}")
-
-
-def _require_counts(**values) -> None:
-    """ValidationError unless every value is a non-negative integer."""
-    for name, value in values.items():
-        if not (isinstance(value, (int, np.integer)) and value >= 0):
-            raise ValidationError(f"{name} must be a non-negative integer, got {value!r}")
 
 
 def _sample_distinct(rng, count, existing=()):

@@ -32,7 +32,8 @@ import scipy.linalg
 import scipy.sparse
 
 from .errors import (NumericalError, RootCertificationError, ValidationError)
-from .krein import SpectralType, _require_finite
+from .krein import (SpectralType, _require_counts, _require_finite,
+                    _require_tolerances)
 from .realsets import Interval, RealLineSet, minkowski_add_points
 
 __all__ = [
@@ -129,6 +130,7 @@ def transversal_modes(a: float, alpha0: float, N: int) -> list[TransversalMode]:
     types alternate positive/negative with the mu index.  N must cover
     the lattice modes below alpha0^2 and stay within MAX_LATTICE_MODES.
     """
+    _require_counts(N=N)
     need = max(1, _min_lattice(a, alpha0))
     if not need <= N <= MAX_LATTICE_MODES:
         raise ValidationError(
@@ -199,11 +201,13 @@ def robin_fd(a: float, alpha: complex, n: int, sparse: bool = False):
     half-weight endpoint scaling; the scaling is a similarity (it keeps
     every eigenvalue of the plain scheme) and makes the reversal symmetry
     exact: with J the index-reversing permutation, J T* J == T holds to
-    the last bit for any complex alpha.  ``sparse=True`` builds both as
-    ``csr_matrix`` from their CSR arrays, T without an entry alpha zeroes.
+    the last bit for any complex alpha.  ``sparse=True`` returns both as
+    ``csr_matrix``, T by ``scipy.sparse.diags``, which drops an endpoint
+    entry alpha cancels.
     """
     if a <= 0:
         raise ValidationError(f"half-width a must be positive, got {a}")
+    _require_counts(n=n)
     if n < 3:
         raise ValidationError(f"need at least 3 grid points, got {n}")
     h = 2.0 * a / (n - 1)
@@ -219,16 +223,8 @@ def robin_fd(a: float, alpha: complex, n: int, sparse: bool = False):
     off[0] = -math.sqrt(2.0) / h**2
     off[-1] = -math.sqrt(2.0) / h**2
     if sparse:
-        data = np.empty((n, 3), dtype=complex)
-        data[1:, 0], data[:, 1], data[:-1, 2] = off, main, off
-        idx = np.arange(n + 1, dtype=np.int32)
-        cols = idx[:-1, None] + idx[:3] - 1  # row i holds i-1, i, i+1
-        indptr = (3 * idx - 1).clip(0, 3 * n - 2)  # 0, 2, 5, ..., 3n-2
-        T = scipy.sparse.csr_matrix(
-            (data.ravel()[1:-1], cols.ravel()[1:-1], indptr), shape=(n, n))
-        T.eliminate_zeros()  # an endpoint entry the coupling cancels
-        J = scipy.sparse.csr_matrix((np.ones(n), n - 1 - idx[:-1], idx), shape=(n, n))
-        return T, J
+        T = scipy.sparse.diags([off, main, off], [-1, 0, 1], format="csr")
+        return T, scipy.sparse.eye(n, format="csr")[::-1]
     T = np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
     return T, np.eye(n)[::-1].copy()
 
@@ -431,6 +427,7 @@ def secular_roots(a: float, alpha0: float, beta0: float,
     """
     if a <= 0:
         raise ValidationError(f"half-width a must be positive, got {a}")
+    _require_tolerances(tol=tol)
     if tol <= 0:
         raise ValidationError(f"tolerance must be positive, got {tol}")
     if not all(map(math.isfinite, (a, alpha0, beta0))):
@@ -491,6 +488,9 @@ def branch_curves(a: float, alpha0: float, beta0_samples: Sequence[float],
     seeds = [complex(s) for s in seeds]
     if not seeds:
         raise ValidationError("need at least one seed root")
+    _require_finite(a=a, alpha0=alpha0, beta0_samples=np.array(samples),
+                    seeds=np.array(seeds))
+    _require_tolerances(tol=tol)
 
     def collide(ks):
         return any(abs(x - y) <= _COLLISION_RADIUS
@@ -558,6 +558,7 @@ class Discretized:
 
 
 def _square_well_levels(depth: float, width: float) -> list[float]:
+    _require_finite(depth=depth, width=width)
     if depth <= 0 or width <= 0:
         raise ValidationError("square well needs positive depth and width")
     L = 0.5 * width

@@ -29,7 +29,8 @@ from scipy.linalg import svdvals
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 from .errors import NumericalError, ValidationError
-from .krein import _CHUNK, Involution
+from .krein import (_CHUNK, Involution, _require_counts, _require_finite,
+                    _require_tolerances)
 from .transversal import robin_fd
 
 __all__ = [
@@ -70,10 +71,12 @@ class GridSpec:
             raise ValidationError(f"half-width a must be positive, got {self.a}")
         if self.Lx <= 0 or not math.isfinite(self.Lx):
             raise ValidationError(f"half-length Lx must be positive, got {self.Lx}")
+        _require_counts(nx=self.nx, ny=self.ny)
         if self.nx < 8 or self.ny < 8:
             raise ValidationError(
                 f"need nx, ny >= 8, got nx = {self.nx}, ny = {self.ny}")
-        XBoundary(self.x_boundary)
+        if self.x_boundary not in tuple(XBoundary):
+            raise ValidationError(f"unknown x boundary {self.x_boundary!r}")
         if self.nx * self.ny > DIM_CAP:
             raise ValidationError(
                 f"grid has {self.nx * self.ny} nodes, over the cap {DIM_CAP}")
@@ -118,20 +121,14 @@ class WaveguideOperator:
 
 
 def _x_second_difference(grid: GridSpec) -> scipy.sparse.csr_matrix:
-    """Dx = tridiag(-1, 2, -1) / hx^2, with the periodic corners, from its CSR arrays."""
+    """Dx = tridiag(-1, 2, -1) / hx^2 by ``scipy.sparse.diags``; periodic
+    grids add the corners as the diagonals +-(nx - 1)."""
     nx, hx = grid.nx, grid.hx
-    main, off = 2.0 / hx**2, -1.0 / hx**2
-    idx = np.arange(nx + 1, dtype=np.int32)
-    cols = idx[:-1, None] + idx[:3] - 1  # row i holds i-1, i, i+1
-    data = np.tile([off, main, off], (nx, 1))
+    offsets = [0, -1, 1]
     if XBoundary(grid.x_boundary) is XBoundary.PERIODIC:
-        cols[0], cols[-1] = (0, 1, nx - 1), (0, nx - 2, nx - 1)
-        data[0], data[-1] = (main, off, off), (off, off, main)
-        return scipy.sparse.csr_matrix((data.ravel(), cols.ravel(), 3 * idx),
-                                       shape=(nx, nx))
-    indptr = (3 * idx - 1).clip(0, 3 * nx - 2)  # 0, 2, 5, ..., 3nx-2
-    return scipy.sparse.csr_matrix(
-        (data.ravel()[1:-1], cols.ravel()[1:-1], indptr), shape=(nx, nx))
+        offsets += [1 - nx, nx - 1]
+    values = [2.0 / hx**2] + [-1.0 / hx**2] * (len(offsets) - 1)
+    return scipy.sparse.diags(values, offsets, shape=(nx, nx), format="csr")
 
 
 def assemble_waveguide(grid: GridSpec, alpha: Callable[[float], complex],
@@ -143,10 +140,11 @@ def assemble_waveguide(grid: GridSpec, alpha: Callable[[float], complex],
     so for wall-conjugation-symmetric V the assembled matrix satisfies
     J H* J = H exactly (J the y-reversal permutation).
 
-    H's CSR arrays are written in one vectorised pass, five slots per row:
-    row (i, r) is row i of Dx, placed at columns (j, r), with its diagonal
-    widened to column i's ``robin_fd`` stencil T_i and
-    (Dx[i, i] + T_i[r, r]) + V[i, r] in the middle. Each entry is the
+    H's CSR arrays are written five slots per row: row (i, r) is row i of
+    Dx (from ``scipy.sparse.diags``), placed at columns (j, r), with its
+    diagonal widened to the band of column i's ``robin_fd`` stencil T_i
+    and (Dx[i, i] + T_i[r, r]) + V[i, r] in the middle; one loop over the
+    x blocks reads each T_i's three diagonals. Each entry is the
     value (kron(Dx, I) + blockdiag(T_i)) + diags(V) gives, exact-zero sums
     dropped and indices sorted, so the arrays equal that sum's bit for
     bit; no Kronecker product, sparse sum or other nnz-sized copy is made,
@@ -181,25 +179,13 @@ def assemble_waveguide(grid: GridSpec, alpha: Callable[[float], complex],
     vals[xrow[nb], :, slot[nb]] = Dx.data[nb, None]  # (Dx + 0) + 0
     cols[xrow[nb], :, slot[nb]] = Dx.indices[nb, None] * ny + node[0]
     first, xdiag = slot[~nb], Dx.data[~nb]  # x block i's stencil slot, Dx[i, i]
+    # past about 100 rows a dense T_i costs more than a sparse one
     for i, (f, al) in enumerate(zip(first, alpha_samples)):
-        T = robin_fd(grid.a, al, ny, sparse=True)[0]
-        stencil = vals[i, :, f:f + 3]
-        if T.nnz == 3 * ny - 2:
-            stencil.flat[1:-1] = T.data
-        else:  # an endpoint entry the coupling cancels
-            r = np.repeat(node[0], np.diff(T.indptr))
-            stencil[r, T.indices - r + 1] = T.data
-    # (Dx[i, i] + T_i) + V in the middle, (0 + T_i) + 0 beside it; one run
-    # of x blocks whose stencils start at the same slot at a time
-    runs = np.flatnonzero(np.diff(first)) + 1
-    for i0, i1 in zip([0, *runs], [*runs, nx]):
-        f = first[i0]
-        stencil = vals[i0:i1, :, f:f + 3]
-        stencil[..., 1] += xdiag[i0:i1, None]
-        stencil[..., 1] += V_samples[i0:i1]
-        stencil[..., ::2] += 0.0
-        for b in range(3):
-            cols[i0:i1, :, f + b] = node[i0:i1] + (b - 1)
+        T = robin_fd(grid.a, al, ny, sparse=ny > 100)[0]
+        vals[i, 1:, f] = T.diagonal(-1)
+        vals[i, :, f + 1] = (xdiag[i] + T.diagonal()) + V_samples[i]
+        vals[i, :-1, f + 2] = T.diagonal(1)
+        cols[i, :, f:f + 3] = node[i, :, None] + np.arange(-1, 2)
 
     keep = vals != 0  # drops the padding and the exact-zero sums
     indptr = np.zeros(n + 1, dtype=np.int32)
@@ -262,8 +248,7 @@ def _kronecker_factors(op: WaveguideOperator):
     if not H.has_canonical_format:
         return None
     nx, ny = g.nx, g.ny
-    T_y = (robin_fd(g.a, al[0], ny, sparse=True)[0]
-           + scipy.sparse.diags(V[0])).toarray()
+    T_y = robin_fd(g.a, al[0], ny)[0] + np.diag(V[0])
     # K's values by class: band position (r, r + b - 1) of an x block, an
     # x neighbour, and last every position K does not store
     kval = np.zeros(3 * ny + 2, dtype=complex)
@@ -327,10 +312,12 @@ def eigs_near(op: WaveguideOperator, target: complex, k: int,
     """
     H = op.H
     n = H.shape[0]
+    target = complex(target)
+    _require_counts(k=k)
+    _require_finite(target=target)
     if not 1 <= k <= n:
         raise ValidationError(f"need 1 <= k <= {n} eigenvalues, got {k}")
     scale = _operator_scale(H.tocsr())
-    target = complex(target)
 
     def candidates():
         if k < n - 1 and n > _DENSE_EIGS:
@@ -428,6 +415,7 @@ def pseudospectrum_map(op: WaveguideOperator, rect: Sequence[float],
         raise ValidationError(f"rectangle must be finite, got {rect}")
     if re0 > re1 or im0 > im1:
         raise ValidationError(f"rectangle {rect} is empty")
+    _require_counts(mx=mx, my=my, dense_cutoff=dense_cutoff)
     if mx < 1 or my < 1:
         raise ValidationError("need at least one sample per axis")
     res = np.linspace(re0, re1, mx) if mx > 1 else np.array([0.5 * (re0 + re1)])
@@ -542,8 +530,7 @@ def realness_report(eigs: Sequence, window: Sequence[float],
     lo, hi = (float(t) for t in window)
     if not lo <= hi:
         raise ValidationError(f"empty window {window}")
-    if tol < 0:
-        raise ValidationError("tolerance must be nonnegative")
+    _require_tolerances(tol=tol)
     vals = []
     for item in eigs:
         lam, res = item

@@ -18,18 +18,24 @@ from kreinspec import (
     ContourError,
     Discretized,
     GridSpec,
+    Involution,
     NumericalError,
     SpectralType,
+    SquareWell,
     ValidationError,
     assemble_waveguide,
+    branch_curves,
     build_phi,
     classify_point,
     classify_spectrum,
     definiteness_constants,
+    eigs_near,
     j_self_adjoint_defect,
     kron_sum,
     longitudinal_spectrum,
     predict_types,
+    pseudospectrum_map,
+    realness_report,
     riesz_projection,
     robin_fd,
     secular_roots,
@@ -255,6 +261,54 @@ def test_negative_tol_is_refused_not_read_as_a_type():
     assert classify_point(T, J, lam).type is SpectralType.NEGATIVE
     with pytest.raises(ValidationError, match="tol must be finite and non-negative"):
         classify_point(T, J, lam, tol=-1.0)
+
+
+# a NaN or inf tolerance, a NaN or inf scalar argument, and a count that is
+# not an integer are each refused at the public boundary, not met later as
+# a silent result, a numerical failure or a TypeError
+def _strip():
+    return assemble_waveguide(GridSpec(a=1.0, Lx=1.0, nx=8, ny=8),
+                              lambda x: 0.5j, lambda x, y: 0.0)
+
+
+REFUSED_INPUTS = {
+    "involution-nan-tol": lambda: make_factor_spec(
+        np.diag([1.0, 2.0]), Involution(np.eye(2, dtype=complex), math.nan)),
+    "involution-inf-tol": lambda: Involution(np.eye(2), math.inf),
+    "involution-negative-tol": lambda: Involution(np.eye(2), -1e-10),
+    "eigs_near-nan-target": lambda: eigs_near(_strip(), math.nan, 3),
+    "realness_report-nan-tol": lambda: realness_report(
+        [(0.5 + 0.3j, 0.0)], (0, 1), math.nan),
+    "realness_report-inf-tol": lambda: realness_report(
+        [(0.5 + 0.3j, 0.0)], (0, 1), math.inf),
+    "square-well-nan-depth": lambda: longitudinal_spectrum(SquareWell(math.nan, 1.0)),
+    "square-well-inf-width": lambda: longitudinal_spectrum(SquareWell(1.0, math.inf)),
+    "secular_roots-nan-tol": lambda: secular_roots(
+        math.pi / 2, 1.0, -0.05, (0.7, 1.3, -0.4, 0.4), tol=math.nan),
+    "branch_curves-nan-alpha0": lambda: branch_curves(
+        math.pi / 2, math.nan, [0.0, 0.1], [1.0]),
+    "branch_curves-nan-seed": lambda: branch_curves(
+        math.pi / 2, 1.0, [0.0, 0.1], [complex(math.nan, 0.0)]),
+    "branch_curves-inf-tol": lambda: branch_curves(
+        math.pi / 2, 1.0, [0.0, 0.1], [1.0], tol=math.inf),
+    "robin_fd-n": lambda: robin_fd(1.0, 1j, 5.5),
+    "grid-nx": lambda: assemble_waveguide(
+        GridSpec(a=1, Lx=1, nx=8.5, ny=8), lambda x: 0.5j, lambda x, y: 0.0),
+    "grid-x-boundary": lambda: GridSpec(
+        a=1.0, Lx=1.0, nx=8, ny=8, x_boundary="bogus").validate(),
+    "transversal_modes-N": lambda: transversal_modes(math.pi / 2, 0.5, 5.5),
+    "eigs_near-k": lambda: eigs_near(_strip(), 0.3, 2.5),
+    "pseudospectrum_map-mx": lambda: pseudospectrum_map(
+        _strip(), (0.0, 1.0, -0.5, 0.5), 2.5, 2),
+    "riesz_projection-nodes": lambda: riesz_projection(
+        np.diag([1.0, 2.0]), 1.0, 0.5, nodes=20.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_INPUTS))
+def test_malformed_public_input_is_a_validation_error(case):
+    with pytest.raises(ValidationError):
+        REFUSED_INPUTS[case]()
 
 
 class TestDefect:

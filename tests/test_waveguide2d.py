@@ -67,7 +67,7 @@ class TestGridSpec:
             GridSpec(a=1.0, Lx=1.0, nx=8, ny=7).validate()
         with pytest.raises(ValidationError):
             GridSpec(a=1.0, Lx=1.0, nx=1000, ny=1000).validate()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             GridSpec(a=1.0, Lx=1.0, nx=8, ny=8, x_boundary="nonsense").validate()
 
 
@@ -116,10 +116,7 @@ class TestAssembly:
                      format="csr")
              + sp.block_diag(blocks, format="csr")
              + sp.diags(op.V_samples.ravel())).tocsr()
-        assert type(op.H) is type(H)
-        for field in ("indptr", "indices", "data"):
-            got, want = getattr(op.H, field), getattr(H, field)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert_same_arrays(op.H, H)
         if coupling == "endpoint":
             assert min(b.nnz for b in blocks) == 3 * ny - 4
 
@@ -133,10 +130,7 @@ class TestAssembly:
         if boundary is XBoundary.PERIODIC:
             D[0, nx - 1] = -1.0 / hx**2
             D[nx - 1, 0] = -1.0 / hx**2
-        want, got = D.tocsr(), waveguide2d._x_second_difference(g)
-        for field in ("indptr", "indices", "data"):
-            a, b = getattr(got, field), getattr(want, field)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert_same_arrays(waveguide2d._x_second_difference(g), D.tocsr())
 
     def test_pt_defect_exactly_zero_for_constant_coupling(self):
         op = free_operator()
@@ -183,6 +177,156 @@ class TestAssembly:
         with pytest.raises(ValidationError):
             assemble_waveguide(g, lambda x: 0.5j,
                                lambda x, y: math.nan)
+
+
+# The CSR-array constructions that scipy.sparse.diags and the one-loop
+# stencil read replaced, kept as reference kernels for their arrays.
+def csr_robin_fd(a, alpha, n):
+    """robin_fd(a, alpha, n, sparse=True) written from its CSR arrays."""
+    h = 2.0 * a / (n - 1)
+    alpha = complex(alpha)
+    main = np.full(n, 2.0, dtype=complex) / h**2
+    main[0] = 2.0 / h**2 + 2.0 * alpha.conjugate() / h
+    main[-1] = 2.0 / h**2 + 2.0 * alpha / h
+    off = np.full(n - 1, -1.0 / h**2, dtype=complex)
+    off[0] = off[-1] = -math.sqrt(2.0) / h**2
+    data = np.empty((n, 3), dtype=complex)
+    data[1:, 0], data[:, 1], data[:-1, 2] = off, main, off
+    idx = np.arange(n + 1, dtype=np.int32)
+    cols = idx[:-1, None] + idx[:3] - 1  # row i holds i-1, i, i+1
+    indptr = (3 * idx - 1).clip(0, 3 * n - 2)  # 0, 2, 5, ..., 3n-2
+    T = sp.csr_matrix((data.ravel()[1:-1], cols.ravel()[1:-1], indptr),
+                      shape=(n, n))
+    T.eliminate_zeros()  # an endpoint entry the coupling cancels
+    J = sp.csr_matrix((np.ones(n), n - 1 - idx[:-1], idx), shape=(n, n))
+    return T, J
+
+
+def csr_x_second_difference(grid):
+    """Dx = tridiag(-1, 2, -1) / hx^2, periodic corners included, from its
+    CSR arrays."""
+    nx, hx = grid.nx, grid.hx
+    main, off = 2.0 / hx**2, -1.0 / hx**2
+    idx = np.arange(nx + 1, dtype=np.int32)
+    cols = idx[:-1, None] + idx[:3] - 1
+    data = np.tile([off, main, off], (nx, 1))
+    if XBoundary(grid.x_boundary) is XBoundary.PERIODIC:
+        cols[0], cols[-1] = (0, 1, nx - 1), (0, nx - 2, nx - 1)
+        data[0], data[-1] = (main, off, off), (off, off, main)
+        return sp.csr_matrix((data.ravel(), cols.ravel(), 3 * idx), shape=(nx, nx))
+    indptr = (3 * idx - 1).clip(0, 3 * nx - 2)
+    return sp.csr_matrix((data.ravel()[1:-1], cols.ravel()[1:-1], indptr),
+                         shape=(nx, nx))
+
+
+def two_loop_assembly(grid, alpha_samples, V_samples):
+    """H's CSR arrays with the stencils written in two loops: each column's
+    sparse T_i scattered from its CSR arrays, then Dx[i, i] and V added
+    to one run of x blocks with the same stencil slot at a time."""
+    nx, ny, n = grid.nx, grid.ny, grid.nx * grid.ny
+    node = np.arange(n, dtype=np.int32).reshape(nx, ny)
+    Dx = csr_x_second_difference(grid)
+    xrow = np.repeat(np.arange(nx), np.diff(Dx.indptr))
+    slot = np.arange(Dx.nnz) - Dx.indptr[xrow] + 2 * (Dx.indices > xrow)
+    vals = np.zeros((nx, ny, 5), dtype=complex)
+    cols = np.zeros((nx, ny, 5), dtype=np.int32)
+    nb = Dx.indices != xrow
+    vals[xrow[nb], :, slot[nb]] = Dx.data[nb, None]
+    cols[xrow[nb], :, slot[nb]] = Dx.indices[nb, None] * ny + node[0]
+    first, xdiag = slot[~nb], Dx.data[~nb]
+    for i, (f, al) in enumerate(zip(first, alpha_samples)):
+        T = csr_robin_fd(grid.a, al, ny)[0]
+        stencil = vals[i, :, f:f + 3]
+        if T.nnz == 3 * ny - 2:
+            stencil.flat[1:-1] = T.data
+        else:
+            r = np.repeat(node[0], np.diff(T.indptr))
+            stencil[r, T.indices - r + 1] = T.data
+    runs = np.flatnonzero(np.diff(first)) + 1
+    for i0, i1 in zip([0, *runs], [*runs, nx]):
+        f = first[i0]
+        stencil = vals[i0:i1, :, f:f + 3]
+        stencil[..., 1] += xdiag[i0:i1, None]
+        stencil[..., 1] += V_samples[i0:i1]
+        stencil[..., ::2] += 0.0
+        for b in range(3):
+            cols[i0:i1, :, f + b] = node[i0:i1] + (b - 1)
+    keep = vals != 0
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=2).ravel(), out=indptr[1:])
+    return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(n, n))
+
+
+def assert_same_arrays(got, want):
+    assert type(got) is type(want)
+    for field in ("indptr", "indices", "data"):
+        g, w = getattr(got, field), getattr(want, field)
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+_D, _P = XBoundary.DIRICHLET, XBoundary.PERIODIC
+_BUMP = lambda x: -0.05 + 1j * (1 + 0.3 * math.exp(-x * x))  # noqa: E731
+# name: (a, Lx, nx, ny, x boundary, alpha(x), V(x, y)); at a = 1, ny = 17
+# and 129 give steps 2^-k, where alpha = -1/hy cancels both endpoint
+# entries exactly; ny = 129 reads T_i in sparse form
+REFERENCE_GRIDS = {
+    "dirichlet-constant": (A_HALF, 5.0, 8, 8, _D, lambda x: 0.5j, lambda x, y: 0.0),
+    "periodic-constant": (A_HALF, 5.0, 8, 9, _P, lambda x: -0.05 + 1j,
+                          lambda x, y: 0.0),
+    "criterion-11": (A_HALF, 40.0, 640, 48, _D, lambda x: -0.05 + 1j,
+                     lambda x, y: 0.0),
+    "cancelled-endpoint": (1.0, 5.0, 14, 17, _D, lambda x: -8.0, lambda x, y: 0.0),
+    "cancelled-endpoint-tall": (1.0, 5.0, 8, 129, _D, lambda x: -64.0,
+                                lambda x, y: 0.0),
+    "half-cancelled-periodic": (1.0, 5.0, 11, 17, _P,
+                                lambda x: -8.0 if x < 0 else 0.7j,
+                                lambda x, y: 0.1 * x * x + 1j * math.sin(y)),
+    # -(2/hx^2 + 2/hy^2): every interior diagonal of H sums to exactly 0
+    "cancelled-diagonal": (1.0, 5.0, 30, 17, _D, lambda x: 0.3j,
+                           lambda x, y: -(2.0 / (10.0 / 31) ** 2 + 2.0 / 0.125**2)),
+    "bump": (A_HALF, 10.0, 40, 16, _D, _BUMP, lambda x, y: 0.0),
+    "bump-complex-potential": (A_HALF, 5.0, 24, 12, _P, _BUMP,
+                               lambda x, y: x * x + 1j * math.sin(y)),
+    "x-potential": (A_HALF, 6.0, 20, 10, _D, lambda x: 0.5j,
+                    lambda x, y: 0.3 * x * x),
+}
+
+
+class TestAgainstCsrReferenceKernels:
+    """Bitwise equality with the CSR-array constructions."""
+
+    @pytest.mark.parametrize("n", [3, 5, 33, 800])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5j, -0.05 + 1j, -16.0, "-1/h"])
+    def test_robin_fd_sparse(self, n, alpha):
+        if alpha == "-1/h":
+            alpha = -1 / (2.0 / (n - 1))
+        for got, want in zip(robin_fd(1.0, alpha, n, sparse=True),
+                             csr_robin_fd(1.0, alpha, n), strict=True):
+            assert_same_arrays(got, want)
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_GRIDS))
+    def test_assembly_dx_and_kronecker_factors(self, name):
+        a, Lx, nx, ny, boundary, alpha, V = REFERENCE_GRIDS[name]
+        g = GridSpec(a=a, Lx=Lx, nx=nx, ny=ny, x_boundary=boundary)
+        op = assemble_waveguide(g, alpha, V)
+        assert_same_arrays(waveguide2d._x_second_difference(g),
+                           csr_x_second_difference(g))
+        assert_same_arrays(op.H, two_loop_assembly(g, op.alpha_samples,
+                                                   op.V_samples))
+        idx = np.arange(g.nx * g.ny + 1, dtype=np.int32)
+        flip = idx[:-1].reshape(g.nx, g.ny)[:, ::-1].ravel()
+        assert_same_arrays(op.J.matrix, sp.csr_matrix(
+            (np.ones(idx.size - 1), flip, idx), shape=op.H.shape))
+        if name == "cancelled-diagonal":  # only the wall rows keep one
+            assert np.count_nonzero(op.H.diagonal()) == 2 * g.nx
+        factors = waveguide2d._kronecker_factors(op)
+        separable = (boundary is _D and np.all(op.alpha_samples == op.alpha_samples[0])
+                     and np.all(op.V_samples == op.V_samples[0]))
+        assert (factors is not None) == separable
+        if separable:
+            T_ref = (csr_robin_fd(a, op.alpha_samples[0], ny)[0]
+                     + sp.diags(op.V_samples[0])).toarray()
+            assert factors[1].tobytes() == T_ref.tobytes()
 
 
 class TestEigsNear:
