@@ -201,9 +201,8 @@ def robin_fd(a: float, alpha: complex, n: int, sparse: bool = False):
     half-weight endpoint scaling; the scaling is a similarity (it keeps
     every eigenvalue of the plain scheme) and makes the reversal symmetry
     exact: with J the index-reversing permutation, J T* J == T holds to
-    the last bit for any complex alpha.  ``sparse=True`` returns both as
-    ``csr_matrix``, T by ``scipy.sparse.diags``, which drops an endpoint
-    entry alpha cancels.
+    the last bit for any complex alpha.  ``sparse=True`` builds both as
+    ``csr_matrix`` from their CSR arrays, T without an entry alpha zeroes.
     """
     if a <= 0:
         raise ValidationError(f"half-width a must be positive, got {a}")
@@ -220,11 +219,17 @@ def robin_fd(a: float, alpha: complex, n: int, sparse: bool = False):
     main[0] = 2.0 / h**2 + 2.0 * alpha.conjugate() / h
     main[-1] = 2.0 / h**2 + 2.0 * alpha / h
     off = np.full(n - 1, -1.0 / h**2, dtype=complex)
-    off[0] = -math.sqrt(2.0) / h**2
-    off[-1] = -math.sqrt(2.0) / h**2
+    off[0] = off[-1] = -math.sqrt(2.0) / h**2
     if sparse:
-        T = scipy.sparse.diags([off, main, off], [-1, 0, 1], format="csr")
-        return T, scipy.sparse.eye(n, format="csr")[::-1]
+        data = np.empty((n, 3), dtype=complex)
+        data[1:, 0], data[:, 1], data[:-1, 2] = off, main, off
+        idx = np.arange(n + 1, dtype=np.int32)
+        cols = idx[:-1, None] + idx[:3] - 1  # row i holds i-1, i, i+1
+        indptr = np.minimum(np.maximum(3 * idx - 1, 0), 3 * n - 2)  # 0, 2, 5, ..., 3n-2
+        T = scipy.sparse.csr_matrix(
+            (data.ravel()[1:-1], cols.ravel()[1:-1], indptr), shape=(n, n))
+        T.eliminate_zeros()  # an endpoint entry the coupling cancels
+        return T, scipy.sparse.csr_matrix((np.ones(n), n - 1 - idx[:-1], idx), shape=(n, n))
     T = np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
     return T, np.eye(n)[::-1].copy()
 
@@ -427,9 +432,8 @@ def secular_roots(a: float, alpha0: float, beta0: float,
     """
     if a <= 0:
         raise ValidationError(f"half-width a must be positive, got {a}")
-    _require_tolerances(tol=tol)
-    if tol <= 0:
-        raise ValidationError(f"tolerance must be positive, got {tol}")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValidationError(f"tolerance must be positive and finite, got {tol}")
     if not all(map(math.isfinite, (a, alpha0, beta0))):
         raise ValidationError(
             f"a, alpha0 and beta0 must be finite, got {a}, {alpha0}, {beta0}")
@@ -490,6 +494,8 @@ def branch_curves(a: float, alpha0: float, beta0_samples: Sequence[float],
         raise ValidationError("need at least one seed root")
     _require_finite(a=a, alpha0=alpha0, beta0_samples=np.array(samples),
                     seeds=np.array(seeds))
+    if a <= 0:
+        raise ValidationError(f"half-width a must be positive, got {a}")
     _require_tolerances(tol=tol)
 
     def collide(ks):
@@ -558,9 +564,8 @@ class Discretized:
 
 
 def _square_well_levels(depth: float, width: float) -> list[float]:
-    _require_finite(depth=depth, width=width)
-    if depth <= 0 or width <= 0:
-        raise ValidationError("square well needs positive depth and width")
+    if not all(v > 0 and math.isfinite(v) for v in (depth, width)):
+        raise ValidationError("square well needs positive finite depth and width")
     L = 0.5 * width
     qmax = math.sqrt(depth)
 

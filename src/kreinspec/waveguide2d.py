@@ -142,14 +142,14 @@ def assemble_waveguide(grid: GridSpec, alpha: Callable[[float], complex],
 
     H's CSR arrays are written five slots per row: row (i, r) is row i of
     Dx (from ``scipy.sparse.diags``), placed at columns (j, r), with its
-    diagonal widened to the band of column i's ``robin_fd`` stencil T_i
-    and (Dx[i, i] + T_i[r, r]) + V[i, r] in the middle; one loop over the
-    x blocks reads each T_i's three diagonals. Each entry is the
-    value (kron(Dx, I) + blockdiag(T_i)) + diags(V) gives, exact-zero sums
-    dropped and indices sorted, so the arrays equal that sum's bit for
-    bit; no Kronecker product, sparse sum or other nnz-sized copy is made,
-    since the kept slots are compacted in place into H's data and indices.
-    J is built and checked as an involution on its index arrays.
+    diagonal widened to the band of column i's sparse ``robin_fd`` stencil
+    T_i and (Dx[i, i] + T_i[r, r]) + V[i, r] in the middle, one x block per
+    loop pass. Each entry is the value (kron(Dx, I) + blockdiag(T_i)) +
+    diags(V) gives, exact-zero sums dropped and indices sorted, so the
+    arrays equal that sum's bit for bit; no Kronecker product, sparse sum
+    or other nnz-sized copy is made, since the kept slots are compacted in
+    place into H's data and indices. J is built and checked as an
+    involution on its index arrays.
     """
     grid.validate()
     x, y = grid.x_nodes().tolist(), grid.y_nodes().tolist()
@@ -178,14 +178,15 @@ def assemble_waveguide(grid: GridSpec, alpha: Callable[[float], complex],
     nb = Dx.indices != xrow  # the x neighbours
     vals[xrow[nb], :, slot[nb]] = Dx.data[nb, None]  # (Dx + 0) + 0
     cols[xrow[nb], :, slot[nb]] = Dx.indices[nb, None] * ny + node[0]
-    first, xdiag = slot[~nb], Dx.data[~nb]  # x block i's stencil slot, Dx[i, i]
-    # past about 100 rows a dense T_i costs more than a sparse one
+    b, first, xdiag = xrow[~nb], slot[~nb], Dx.data[~nb]  # x block, stencil slot, Dx[i, i]
     for i, (f, al) in enumerate(zip(first, alpha_samples)):
-        T = robin_fd(grid.a, al, ny, sparse=ny > 100)[0]
-        vals[i, 1:, f] = T.diagonal(-1)
-        vals[i, :, f + 1] = (xdiag[i] + T.diagonal()) + V_samples[i]
-        vals[i, :-1, f + 2] = T.diagonal(1)
-        cols[i, :, f:f + 3] = node[i, :, None] + np.arange(-1, 2)
+        T = robin_fd(grid.a, al, ny, sparse=True)[0]
+        vals[i, :, f + 1] = T.diagonal()
+    vals[b, :, first + 1] = (vals[b, :, first + 1] + xdiag[:, None]) + V_samples
+    # T_i's off-diagonals do not depend on alpha: the last T_i's serve all
+    vals[b, 1:, first], vals[b, :-1, first + 2] = T.diagonal(-1), T.diagonal(1)
+    for k in range(3):
+        cols[b, :, first + k] = node + (k - 1)
 
     keep = vals != 0  # drops the padding and the exact-zero sums
     indptr = np.zeros(n + 1, dtype=np.int32)
@@ -248,14 +249,14 @@ def _kronecker_factors(op: WaveguideOperator):
     if not H.has_canonical_format:
         return None
     nx, ny = g.nx, g.ny
-    T_y = robin_fd(g.a, al[0], ny)[0] + np.diag(V[0])
+    T_y = (robin_fd(g.a, al[0], ny, sparse=True)[0]
+           + scipy.sparse.diags(V[0])).toarray()
     # K's values by class: band position (r, r + b - 1) of an x block, an
     # x neighbour, and last every position K does not store
     kval = np.zeros(3 * ny + 2, dtype=complex)
     band = kval[:3 * ny].reshape(ny, 3)
-    band[1:, 0] = np.diagonal(T_y, -1)
+    band[1:, 0], band[:-1, 2] = np.diagonal(T_y, -1), np.diagonal(T_y, 1)
     band[:, 1] = 2.0 / g.hx**2 + np.diagonal(T_y)
-    band[:-1, 2] = np.diagonal(T_y, 1)
     kval[3 * ny] = -1.0 / g.hx**2
     size = np.r_[np.full(3 * ny, nx), 2 * (nx - 1) * ny, 0]
     seen = np.zeros(3 * ny + 2, dtype=np.int64)

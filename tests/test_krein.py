@@ -289,6 +289,8 @@ REFUSED_INPUTS = {
         math.pi / 2, math.nan, [0.0, 0.1], [1.0]),
     "branch_curves-nan-seed": lambda: branch_curves(
         math.pi / 2, 1.0, [0.0, 0.1], [complex(math.nan, 0.0)]),
+    "branch_curves-negative-a": lambda: branch_curves(
+        -1.0, 1.0, [0.0, 0.1], [1.0]),
     "branch_curves-inf-tol": lambda: branch_curves(
         math.pi / 2, 1.0, [0.0, 0.1], [1.0], tol=math.inf),
     "robin_fd-n": lambda: robin_fd(1.0, 1j, 5.5),

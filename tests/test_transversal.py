@@ -229,7 +229,7 @@ class TestRobinFd:
     def cases():
         # a = 1 and n = 3, 5, 33 give steps h = 2^-k, where alpha = -1/h
         # cancels both endpoint entries exactly; -1/h + 0.3j cancels neither
-        for n in (3, 5, 25, 33, 48):
+        for n in (3, 5, 25, 33, 48, 800):
             h = 2.0 / (n - 1)
             for alpha in (0.0, 0.3 + 0.7j, -0.05 + 1j, -1 / h, -1 / h + 0.3j):
                 yield n, alpha

