@@ -74,11 +74,25 @@ def _norm2(A) -> float:
     return float(np.linalg.svd(A, compute_uv=False)[0])
 
 
-def _require_finite(**matrices) -> None:
-    """ValidationError unless every entry (every stored one, if sparse) is finite."""
-    for name, A in matrices.items():
-        if not np.isfinite(A.data if scipy.sparse.issparse(A) else A).all():
+# Every public boundary refuses a malformed argument with these.  A
+# tolerance a result must meet is positive; a cutoff or margin may be 0.
+def _require_finite(**values) -> None:
+    """ValidationError unless every value given (not None) has only finite
+    entries (stored ones, if sparse)."""
+    for name, A in values.items():
+        if A is None:
+            continue
+        finite = (cmath.isfinite(A) if np.isscalar(A) else  # numpy: 2 us a scalar
+                  np.isfinite(A.data if scipy.sparse.issparse(A) else A).all())
+        if not finite:
             raise ValidationError(f"{name} has a non-finite entry")
+
+
+def _require_positive(**values) -> None:
+    """ValidationError unless every value is finite and > 0."""
+    for name, value in values.items():
+        if not (value > 0 and math.isfinite(value)):
+            raise ValidationError(f"{name} must be finite and positive, got {value}")
 
 
 def _require_tolerances(**values) -> None:
@@ -93,6 +107,13 @@ def _require_counts(**values) -> None:
     for name, value in values.items():
         if not (isinstance(value, (int, np.integer)) and value >= 0):
             raise ValidationError(f"{name} must be a non-negative integer, got {value!r}")
+
+
+def _require_grid_step(**steps) -> None:
+    """ValidationError unless 2/h^2 is finite and positive for every step h."""
+    for name, h in steps.items():
+        if not (0.0 < h * h < math.inf and 2.0 / (h * h) < math.inf):
+            raise ValidationError(f"grid step {name} = {h:g} leaves 2/h^2 out of range")
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,8 +226,7 @@ def riesz_projection(T: np.ndarray, center: complex, radius: float,
     if T.ndim != 2 or T.shape[1] != n:
         raise ValidationError(f"matrix must be square, got shape {T.shape}")
     _require_finite(T=T)
-    if not (radius > 0 and math.isfinite(radius)):
-        raise ValidationError(f"contour radius must be positive and finite, got {radius}")
+    _require_positive(radius=radius)
     _require_counts(nodes=nodes)
     if nodes < 16:
         raise ValidationError(f"need at least 16 quadrature nodes, got {nodes}")
@@ -531,12 +551,8 @@ def _classified_roots(T, J, tol: float = 1e-8,
     Jm = np.asarray(_as_matrix(J), dtype=complex)
     if T.shape != Jm.shape or T.ndim != 2 or T.shape[0] != T.shape[1]:
         raise ValidationError(f"incompatible shapes T {T.shape}, J {Jm.shape}")
-    _require_finite(T=T, J=Jm)
+    _require_finite(T=T, J=Jm, query=query, points=points)
     _require_tolerances(tol=tol, cluster_gap=cluster_gap)
-    if query is not None and not cmath.isfinite(query):
-        raise ValidationError(f"query point {query} is not finite")
-    if points is not None:
-        _require_finite(points=np.asarray(points, dtype=complex))
     if eigvals is not None:
         eigvals = np.asarray(eigvals)
         if eigvals.shape != T.shape[:1]:
@@ -698,8 +714,7 @@ def _pencil_min(A: np.ndarray, M: np.ndarray, name: str) -> float:
 
 
 def definiteness_constants(J, basis_plus: np.ndarray, basis_minus: np.ndarray,
-                           tol: float = 1e-10,
-                           require_definite: bool = True) -> DefinitenessCertificate:
+                           tol: float = 1e-10) -> DefinitenessCertificate:
     """Compute the uniform definiteness constants for two spanning bases.
 
     Bases need not be orthonormal; the constants come from generalized
@@ -731,11 +746,10 @@ def definiteness_constants(J, basis_plus: np.ndarray, basis_minus: np.ndarray,
               if Bp.shape[1] else math.inf)
         km = (_pencil_min(-(Bm.conj().T @ Jm @ Bm), Bm.conj().T @ Bm, "basis_minus")
               if Bm.shape[1] else math.inf)
-    if require_definite:
-        if Bp.shape[1] and kp <= tol:
-            raise ValidationError(f"plus subspace is not uniformly positive (kappa = {kp:.3e})")
-        if Bm.shape[1] and km <= tol:
-            raise ValidationError(f"minus subspace is not uniformly negative (kappa = {-km:.3e})")
+    if Bp.shape[1] and kp <= tol:
+        raise ValidationError(f"plus subspace is not uniformly positive (kappa = {kp:.3e})")
+    if Bm.shape[1] and km <= tol:
+        raise ValidationError(f"minus subspace is not uniformly negative (kappa = {-km:.3e})")
 
     if Bp.shape[1] and Bm.shape[1]:
         Qp = np.linalg.qr(Bp)[0]

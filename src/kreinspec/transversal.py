@@ -33,7 +33,7 @@ import scipy.sparse
 
 from .errors import (NumericalError, RootCertificationError, ValidationError)
 from .krein import (SpectralType, _require_counts, _require_finite,
-                    _require_tolerances)
+                    _require_grid_step, _require_positive)
 from .realsets import Interval, RealLineSet, minkowski_add_points
 
 __all__ = [
@@ -97,11 +97,11 @@ def exceptional_set(a: float, alpha0: float) -> frozenset:
     A t so large that the tolerance reaches 1/2 cannot fail the test, so
     it is never taken as integral.
     """
-    if a <= 0:
-        raise ValidationError(f"half-width a must be positive, got {a}")
+    _require_positive(a=a)
+    _require_finite(alpha0=alpha0)
     t = 2.0 * a * abs(alpha0) / math.pi
     if not math.isfinite(t):
-        raise ValidationError(f"2 a |alpha0| / pi = {t} is not finite")
+        raise ValidationError(f"2 a |alpha0| / pi = {t} overflows")
     n_star, slack = round(t), 1e-12 * max(1.0, t)
     if n_star >= 1 and slack < 0.5 and abs(t - n_star) <= slack:
         return frozenset({n_star - 1, n_star})
@@ -174,6 +174,8 @@ def transversal_modes(a: float, alpha0: float, N: int) -> list[TransversalMode]:
 
 def mode_function(mode: TransversalMode, a: float, y):
     """Evaluate the eigenfunction of a mode at points y in [-a, a]."""
+    _require_positive(a=a)
+    _require_finite(y=y)
     A, B = mode.psi_coeffs
     k = math.sqrt(mode.lam)
     u = np.asarray(y, dtype=float) + a
@@ -204,17 +206,14 @@ def robin_fd(a: float, alpha: complex, n: int, sparse: bool = False):
     the last bit for any complex alpha.  ``sparse=True`` builds both as
     ``csr_matrix`` from their CSR arrays, T without an entry alpha zeroes.
     """
-    if a <= 0:
-        raise ValidationError(f"half-width a must be positive, got {a}")
+    _require_positive(a=a)
     _require_counts(n=n)
     if n < 3:
         raise ValidationError(f"need at least 3 grid points, got {n}")
     h = 2.0 * a / (n - 1)
-    if not (0.0 < h * h < math.inf and 2.0 / (h * h) < math.inf):
-        raise ValidationError(f"grid step {h:g} leaves 2/h^2 out of range")
+    _require_grid_step(h=h)
     alpha = complex(alpha)
-    if not cmath.isfinite(alpha):
-        raise ValidationError(f"coupling alpha must be finite, got {alpha}")
+    _require_finite(alpha=alpha)
     main = np.full(n, 2.0, dtype=complex) / h**2
     main[0] = 2.0 / h**2 + 2.0 * alpha.conjugate() / h
     main[-1] = 2.0 / h**2 + 2.0 * alpha / h
@@ -228,7 +227,8 @@ def robin_fd(a: float, alpha: complex, n: int, sparse: bool = False):
         indptr = np.minimum(np.maximum(3 * idx - 1, 0), 3 * n - 2)  # 0, 2, 5, ..., 3n-2
         T = scipy.sparse.csr_matrix(
             (data.ravel()[1:-1], cols.ravel()[1:-1], indptr), shape=(n, n))
-        T.eliminate_zeros()  # an endpoint entry the coupling cancels
+        if main[0] == 0:  # the coupling cancels both endpoints (conjugates)
+            T.eliminate_zeros()
         return T, scipy.sparse.csr_matrix((np.ones(n), n - 1 - idx[:-1], idx), shape=(n, n))
     T = np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
     return T, np.eye(n)[::-1].copy()
@@ -430,27 +430,20 @@ def secular_roots(a: float, alpha0: float, beta0: float,
     the multiplicity polishes each root to |F| <= tol.  The rectangle must
     exclude k = 0, a trivial zero of F (the k <-> -k symmetry artifact).
     """
-    if a <= 0:
-        raise ValidationError(f"half-width a must be positive, got {a}")
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ValidationError(f"tolerance must be positive and finite, got {tol}")
-    if not all(map(math.isfinite, (a, alpha0, beta0))):
-        raise ValidationError(
-            f"a, alpha0 and beta0 must be finite, got {a}, {alpha0}, {beta0}")
-    re0, re1, im0, im1 = (float(x) for x in region)
+    _require_positive(a=a, tol=tol)
+    re0, re1, im0, im1 = rect = tuple(float(x) for x in region)
+    _require_finite(alpha0=alpha0, beta0=beta0, region=rect)
     if not (re0 < re1 and im0 < im1):
         raise ValidationError(f"degenerate region {region}")
-    if not all(map(math.isfinite, (re0, re1, im0, im1))):
-        raise ValidationError(f"region must be finite, got {region}")
     if re0 <= 0.0 <= re1 and im0 <= 0.0 <= im1:
         raise ValidationError(
             "region must exclude k = 0 (trivial zero of the secular function)")
 
     f, fp = _make_secular(a, alpha0, beta0)
     phase_rate = 2.0 * a
-    w = _certified_winding(f, (re0, re1, im0, im1), phase_rate)
+    w = _certified_winding(f, rect, phase_rate)
     iso = max(1e-7, 1e-5 * math.hypot(re1 - re0, im1 - im0))
-    roots = _subdivide(f, fp, (re0, re1, im0, im1), w, tol, iso, phase_rate)
+    roots = _subdivide(f, fp, rect, w, tol, iso, phase_rate)
     roots.sort(key=lambda z: (round(z.real, 12), round(z.imag, 12)))
     if len(roots) != w:
         raise RootCertificationError(
@@ -492,11 +485,8 @@ def branch_curves(a: float, alpha0: float, beta0_samples: Sequence[float],
     seeds = [complex(s) for s in seeds]
     if not seeds:
         raise ValidationError("need at least one seed root")
-    _require_finite(a=a, alpha0=alpha0, beta0_samples=np.array(samples),
-                    seeds=np.array(seeds))
-    if a <= 0:
-        raise ValidationError(f"half-width a must be positive, got {a}")
-    _require_tolerances(tol=tol)
+    _require_finite(alpha0=alpha0, beta0_samples=samples, seeds=seeds)
+    _require_positive(a=a, tol=tol)
 
     def collide(ks):
         return any(abs(x - y) <= _COLLISION_RADIUS
@@ -564,8 +554,7 @@ class Discretized:
 
 
 def _square_well_levels(depth: float, width: float) -> list[float]:
-    if not all(v > 0 and math.isfinite(v) for v in (depth, width)):
-        raise ValidationError("square well needs positive finite depth and width")
+    _require_positive(depth=depth, width=width)
     L = 0.5 * width
     qmax = math.sqrt(depth)
 
@@ -579,7 +568,7 @@ def _square_well_levels(depth: float, width: float) -> list[float]:
         return q * math.cos(q * L) + kappa(q) * math.sin(q * L)
 
     levels = []
-    grid = np.linspace(1e-12, qmax * (1.0 - 1e-12), 4001)
+    grid = np.linspace(1e-12, qmax * (1.0 - 1e-12), 4001).tolist()  # as floats, not numpy scalars: half the time
     for g in (even, odd):
         vals = [g(q) for q in grid]
         for lo, hi, vlo, vhi in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
@@ -627,18 +616,18 @@ def longitudinal_spectrum(spec) -> tuple[RealLineSet, tuple]:
         if v.ndim != 1 or len(v) < 8:
             raise ValidationError("need at least 8 interior potential samples")
         _require_finite(values=v)
-        if not 0 < L < math.inf:
-            raise ValidationError(f"half_length must be positive and finite, got {L}")
+        _require_positive(half_length=L)
+        m = len(v)
+        h = 2.0 * L / (m + 1)
+        _require_grid_step(h=h)
         v_inf = 0.5 * (v[0] + v[-1])
-        edge = max(2, len(v) // 10)
+        edge = max(2, m // 10)
         flat = max(np.abs(v[:edge] - v_inf).max(),
                    np.abs(v[-edge:] - v_inf).max())
         if flat > 0.05 * max(1.0, abs(v_inf)):
             warnings.warn("potential is not approximately constant near the "
                           f"truncation boundary (deviation {flat:.3g})",
                           stacklevel=2)
-        m = len(v)
-        h = 2.0 * L / (m + 1)
         d = 2.0 / h**2 + v
         e = np.full(m - 1, -1.0 / h**2)
         eigs = scipy.linalg.eigvalsh_tridiagonal(d, e)
@@ -701,8 +690,7 @@ def waveguide_m_sets(a: float, alpha0: float, longitudinal,
     r_min = r_set.infimum()
     if not math.isfinite(r_min):
         raise ValidationError("longitudinal spectrum is unbounded below")
-    if not math.isfinite(window_max):
-        raise ValidationError("window_max must be finite")
+    _require_finite(window_max=window_max)
 
     lam_needed = window_max - r_min
     auto = 2.0 * a * math.sqrt(max(lam_needed, 0.0)) / math.pi

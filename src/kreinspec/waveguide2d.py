@@ -30,7 +30,7 @@ from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 from .errors import NumericalError, ValidationError
 from .krein import (_CHUNK, Involution, _require_counts, _require_finite,
-                    _require_tolerances)
+                    _require_grid_step, _require_positive, _require_tolerances)
 from .transversal import robin_fd
 
 __all__ = [
@@ -67,10 +67,7 @@ class GridSpec:
     x_boundary: XBoundary = XBoundary.DIRICHLET
 
     def validate(self) -> None:
-        if self.a <= 0 or not math.isfinite(self.a):
-            raise ValidationError(f"half-width a must be positive, got {self.a}")
-        if self.Lx <= 0 or not math.isfinite(self.Lx):
-            raise ValidationError(f"half-length Lx must be positive, got {self.Lx}")
+        _require_positive(a=self.a, Lx=self.Lx)
         _require_counts(nx=self.nx, ny=self.ny)
         if self.nx < 8 or self.ny < 8:
             raise ValidationError(
@@ -80,10 +77,7 @@ class GridSpec:
         if self.nx * self.ny > DIM_CAP:
             raise ValidationError(
                 f"grid has {self.nx * self.ny} nodes, over the cap {DIM_CAP}")
-        for name, h in (("hx", self.hx), ("hy", self.hy)):
-            if not (0.0 < h * h < math.inf and 2.0 / (h * h) < math.inf):
-                raise ValidationError(
-                    f"grid step {name} = {h:g} leaves 2/h^2 out of range")
+        _require_grid_step(hx=self.hx, hy=self.hy)
 
     @property
     def hy(self) -> float:
@@ -316,6 +310,7 @@ def eigs_near(op: WaveguideOperator, target: complex, k: int,
     target = complex(target)
     _require_counts(k=k)
     _require_finite(target=target)
+    _require_positive(tol=tol)
     if not 1 <= k <= n:
         raise ValidationError(f"need 1 <= k <= {n} eigenvalues, got {k}")
     scale = _operator_scale(H.tocsr())
@@ -411,9 +406,8 @@ def pseudospectrum_map(op: WaveguideOperator, rect: Sequence[float],
     factorization is exactly singular is flagged (sigma_min = 0) rather
     than fatal.
     """
-    re0, re1, im0, im1 = (float(t) for t in rect)
-    if not all(map(math.isfinite, (re0, re1, im0, im1))):
-        raise ValidationError(f"rectangle must be finite, got {rect}")
+    re0, re1, im0, im1 = box = tuple(float(t) for t in rect)
+    _require_finite(rect=box)
     if re0 > re1 or im0 > im1:
         raise ValidationError(f"rectangle {rect} is empty")
     _require_counts(mx=mx, my=my, dense_cutoff=dense_cutoff)
@@ -442,7 +436,7 @@ def pseudospectrum_map(op: WaveguideOperator, rect: Sequence[float],
                 flagged[iy, ix] = True
                 continue
             sigmas[iy, ix] = _sigma_min_sparse(lu, n, lam)
-    return PseudospectrumMap(rect=(re0, re1, im0, im1), lambdas=lambdas,
+    return PseudospectrumMap(rect=box, lambdas=lambdas,
                              sigmas=sigmas, flagged=flagged)
 
 
@@ -480,7 +474,8 @@ def imag_bound_fit(pmap: PseudospectrumMap, window: Sequence[float],
     """
     lo, hi = (float(t) for t in window)
     blo, bhi = (float(t) for t in im_band)
-    if not (lo < hi and 0 < blo < bhi):
+    _require_positive(im_band_low=blo)  # log |Im lambda| is fitted
+    if not (lo < hi and blo < bhi):
         raise ValidationError("window and band must be nondegenerate")
     lam = pmap.lambdas
     sel = ((lam.real >= lo) & (lam.real <= hi)

@@ -33,6 +33,7 @@ from kreinspec import (
     j_self_adjoint_defect,
     kron_sum,
     longitudinal_spectrum,
+    mode_function,
     predict_types,
     pseudospectrum_map,
     realness_report,
@@ -304,6 +305,20 @@ REFUSED_INPUTS = {
         _strip(), (0.0, 1.0, -0.5, 0.5), 2.5, 2),
     "riesz_projection-nodes": lambda: riesz_projection(
         np.diag([1.0, 2.0]), 1.0, 0.5, nodes=20.5),
+    # a tolerance a result must meet is positive: at 0, Newton stalls at
+    # |F| = 5.9e-17 and the residual gate at 1.3e-15, as numerical failures
+    "branch_curves-zero-tol": lambda: branch_curves(
+        math.pi / 2, 1.0, [-0.1, -0.05], [1.2 + 0.3j], tol=0.0),
+    "eigs_near-zero-tol": lambda: eigs_near(_strip(), 0.3, 2, tol=0.0),
+    "eigs_near-nan-tol": lambda: eigs_near(_strip(), 0.3, 2, tol=math.nan),
+    "mode_function-nan-a": lambda: mode_function(
+        transversal_modes(math.pi / 2, 0.5, 3)[0], math.nan, [0.0]),
+    # 2/h^2 of the grid step underflows or overflows: ZeroDivisionError and
+    # OverflowError before the shared grid-step check
+    "discretized-tiny-half-length": lambda: longitudinal_spectrum(
+        Discretized(np.zeros(10), 1e-300)),
+    "discretized-huge-half-length": lambda: longitudinal_spectrum(
+        Discretized(np.zeros(10), 1e300)),
 }
 
 
@@ -937,11 +952,9 @@ class TestDefinitenessConstants:
 
     def test_rejects_indefinite_basis(self):
         bad = np.array([[1.0], [2.0]])
-        with pytest.raises(ValidationError, match="not uniformly positive"):
+        with pytest.raises(ValidationError,
+                           match=r"not uniformly positive \(kappa = -6.000e-01\)"):
             definiteness_constants(SIG2, bad, np.zeros((2, 0)))
-        cert = definiteness_constants(SIG2, bad, np.zeros((2, 0)),
-                                      require_definite=False)
-        assert cert.kappa_plus == pytest.approx(-0.6)
         with pytest.raises(ValidationError, match="not uniformly negative"):
             definiteness_constants(SIG2, np.zeros((2, 0)), [[1.0], [0.0]])
 

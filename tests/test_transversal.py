@@ -364,7 +364,7 @@ class TestSecular:
             secular_roots(A_HALF, 0.5, 0.0, (0.5, math.inf, -0.1, 0.1))
         with pytest.raises(ValidationError):
             secular_roots(A_HALF, 0.5, 0.0, (0.2, 2.4, -0.1, 0.1), tol=0.0)
-        with pytest.raises(ValidationError, match="half-width"):
+        with pytest.raises(ValidationError, match="a must be finite and positive"):
             secular_roots(-1, 0.5, 0.0, (0.2, 2.4, -0.1, 0.1))
 
     def test_root_on_boundary_fails_after_retries(self):
@@ -604,6 +604,40 @@ class TestLongitudinal:
         fd = self._fd_bound_states(4.0, 3.0)
         assert len(pts) == len(fd) == 2
         np.testing.assert_allclose(pts, fd, atol=1e-6)
+
+    @staticmethod
+    def _numpy_scalar_levels(depth, width):
+        """The level scan over numpy scalars, as it ran before the grid
+        became a list of Python floats."""
+        L, qmax = 0.5 * width, math.sqrt(depth)
+
+        def kappa(q):
+            return math.sqrt(max(depth - q * q, 0.0))
+
+        def even(q):
+            return q * math.sin(q * L) - kappa(q) * math.cos(q * L)
+
+        def odd(q):
+            return q * math.cos(q * L) + kappa(q) * math.sin(q * L)
+
+        levels = []
+        grid = np.linspace(1e-12, qmax * (1.0 - 1e-12), 4001)
+        for g in (even, odd):
+            vals = [g(q) for q in grid]
+            for lo, hi, vlo, vhi in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
+                if vlo == 0.0:
+                    levels.append(lo * lo - depth)
+                elif vlo * vhi < 0:
+                    q = _bisect(g, lo, hi, vlo)
+                    levels.append(q * q - depth)
+        return sorted(levels)
+
+    @pytest.mark.parametrize("depth", [0.05, 0.3, 1.0, 4.0, 25.0])
+    @pytest.mark.parametrize("width", [0.1, 1.0, 2.0, 3.0, 7.5])
+    def test_square_well_levels_match_numpy_scalar_scan(self, depth, width):
+        got = longitudinal_spectrum(SquareWell(depth, width))[1]
+        want = self._numpy_scalar_levels(depth, width)
+        assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
 
     def test_square_well_validation(self):
         with pytest.raises(ValidationError):
