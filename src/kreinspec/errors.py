@@ -5,6 +5,14 @@ process exit codes in the command line front end: bad inputs (exit 2)
 versus algorithms that ran and could not certify a result (exit 3).
 """
 
+__all__ = [
+    "KreinspecError",
+    "ValidationError",
+    "NumericalError",
+    "ContourError",
+    "RootCertificationError",
+]
+
 
 class KreinspecError(Exception):
     """Base class for all errors raised by this package."""

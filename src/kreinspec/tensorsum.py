@@ -187,8 +187,7 @@ def _check_typed(c: ClassifiedSpectrum):
             raise ValidationError(f"eigenvalue {e.lam} carries no spectral type")
 
 
-def _sum_groups(c1: ClassifiedSpectrum, c2: ClassifiedSpectrum,
-                coalesce_tol: float):
+def _sum_groups(c1: ClassifiedSpectrum, c2: ClassifiedSpectrum):
     """Every pairwise eigenvalue sum and its type-pair tag, as two arrays,
     and the sums coalesced into (rep, tags) groups sorted by (Re, Im)."""
     _check_typed(c1)
@@ -199,7 +198,7 @@ def _sum_groups(c1: ClassifiedSpectrum, c2: ClassifiedSpectrum,
     tags = np.array(["r" if _0 in (e1.type, e2.type) else
                      _SIGN[e1.type] + _SIGN[e2.type] for e1, e2 in pairs], dtype="U2")
     groups = sorted(((complex(np.mean(pts[i])), frozenset(tags[i].tolist()))
-                     for i in _cluster_eigenvalues(pts, coalesce_tol)),
+                     for i in _cluster_eigenvalues(pts, _COALESCE_TOL)),
                     key=lambda g: (g[0].real, g[0].imag))
     return pts, tags, groups
 
@@ -237,7 +236,7 @@ def predict_m_sets(c1, c2: ClassifiedSpectrum) -> MSets:
             pts = [complex(e.lam).real for e in c2.entries if e.type is t]
             parts.append(minkowski_add_points(pts, c1))
         return MSets(*parts)
-    return _m_sets(_sum_groups(c1, c2, _COALESCE_TOL)[2])
+    return _m_sets(_sum_groups(c1, c2)[2])
 
 
 # The exclusion a sum point gets from its membership (in M+, in M-).
@@ -273,18 +272,17 @@ def predict_types(f1: FactorSpec, f2: FactorSpec,
     certificate (``dataclasses.replace(f, certificate=None)``) gives
     exclusion-only predictions.
     """
-    return _predictions(f1, f2, separation_radius, _COALESCE_TOL)[0]
+    return _predictions(f1, f2, separation_radius)[0]
 
 
-def _predictions(f1, f2, separation_radius, coalesce_tol):
+def _predictions(f1, f2, separation_radius):
     """``predict_types``' constraints and the (rep, tags) sum groups."""
     _require_tolerances(separation_radius=separation_radius)
     scale = _norm2(f1.t) + _norm2(f2.t)
     if separation_radius is None:
         separation_radius = 1e-4 * max(1.0, scale)
 
-    pts, tags, groups = _sum_groups(f1.classification, f2.classification,
-                                    coalesce_tol)
+    pts, tags, groups = _sum_groups(f1.classification, f2.classification)
     # per block, whether each group's representative is beyond the radius
     reps = np.array([rep for rep, _ in groups], dtype=complex)[:, None]
     far = {k: np.abs(pts[tags == k] - reps).min(axis=1, initial=math.inf)
@@ -356,7 +354,7 @@ def oracle_classify_and_compare(f1: FactorSpec, f2: FactorSpec,
                               eigvals=np.diag(R), failures=failures)
     oracle = ClassifiedSpectrum(tuple(entry for entry, _ in roots))
 
-    predicted, groups = _predictions(f1, f2, None, _COALESCE_TOL)
+    predicted, groups = _predictions(f1, f2, None)
     msets = _m_sets(groups)
 
     # a point with no oracle entry within the match tolerance is keyed -1

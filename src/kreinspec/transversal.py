@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 import warnings
 from contextlib import suppress
 from dataclasses import dataclass
@@ -203,8 +204,8 @@ def robin_fd(a: float, alpha: complex, n: int, sparse: bool = False):
     half-weight endpoint scaling; the scaling is a similarity (it keeps
     every eigenvalue of the plain scheme) and makes the reversal symmetry
     exact: with J the index-reversing permutation, J T* J == T holds to
-    the last bit for any complex alpha.  ``sparse=True`` builds both as
-    ``csr_matrix`` from their CSR arrays, T without an entry alpha zeroes.
+    the last bit for any complex alpha.  Both are ``csr_matrix`` built from
+    their CSR arrays (T without an entry alpha zeroes), dense unless ``sparse``.
     """
     _require_positive(a=a)
     _require_counts(n=n)
@@ -216,22 +217,21 @@ def robin_fd(a: float, alpha: complex, n: int, sparse: bool = False):
     _require_finite(alpha=alpha)
     main = np.full(n, 2.0, dtype=complex) / h**2
     main[0] = 2.0 / h**2 + 2.0 * alpha.conjugate() / h
-    main[-1] = 2.0 / h**2 + 2.0 * alpha / h
+    main[-1] = end = 2.0 / h**2 + 2.0 * alpha / h
+    _require_finite(**{"Robin stencil 2/h^2 + 2 alpha/h": end})
     off = np.full(n - 1, -1.0 / h**2, dtype=complex)
     off[0] = off[-1] = -math.sqrt(2.0) / h**2
-    if sparse:
-        data = np.empty((n, 3), dtype=complex)
-        data[1:, 0], data[:, 1], data[:-1, 2] = off, main, off
-        idx = np.arange(n + 1, dtype=np.int32)
-        cols = idx[:-1, None] + idx[:3] - 1  # row i holds i-1, i, i+1
-        indptr = np.minimum(np.maximum(3 * idx - 1, 0), 3 * n - 2)  # 0, 2, 5, ..., 3n-2
-        T = scipy.sparse.csr_matrix(
-            (data.ravel()[1:-1], cols.ravel()[1:-1], indptr), shape=(n, n))
-        if main[0] == 0:  # the coupling cancels both endpoints (conjugates)
-            T.eliminate_zeros()
-        return T, scipy.sparse.csr_matrix((np.ones(n), n - 1 - idx[:-1], idx), shape=(n, n))
-    T = np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
-    return T, np.eye(n)[::-1].copy()
+    data = np.empty((n, 3), dtype=complex)
+    data[1:, 0], data[:, 1], data[:-1, 2] = off, main, off
+    idx = np.arange(n + 1, dtype=np.int32)
+    cols = idx[:-1, None] + idx[:3] - 1  # row i holds i-1, i, i+1
+    indptr = np.minimum(np.maximum(3 * idx - 1, 0), 3 * n - 2)  # 0, 2, 5, ..., 3n-2
+    T = scipy.sparse.csr_matrix(
+        (data.ravel()[1:-1], cols.ravel()[1:-1], indptr), shape=(n, n))
+    if main[0] == 0:  # the coupling cancels both endpoints (conjugates)
+        T.eliminate_zeros()
+    J = scipy.sparse.csr_matrix((np.ones(n), n - 1 - idx[:-1], idx), shape=(n, n))
+    return (T, J) if sparse else (T.toarray(), J.toarray())
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +239,26 @@ def robin_fd(a: float, alpha: complex, n: int, sparse: bool = False):
 # ---------------------------------------------------------------------------
 
 _MAX_NODES = 200_000  # F evaluations one winding count may spend
+# sin(2ak) and cos(2ak) stay finite while |Im 2ak| <= log(DBL_MAX), about 709.78
+_MAX_IM_2AK = math.log(sys.float_info.max)
+
+
+def _require_im_2ak(a: float, im_k: float) -> None:
+    """ValidationError unless |Im 2ak| <= _MAX_IM_2AK wherever |Im k| <= im_k."""
+    if not (y := 2.0 * abs(a) * im_k) <= _MAX_IM_2AK:
+        raise ValidationError(f"|Im 2ak| reaches {y:.6g} > {_MAX_IM_2AK:.6g}: sin(2ak) overflows")
+
+
+def _overflow_uncertified(fn):
+    """Report an OverflowError of F's arithmetic (a Newton iterate or a
+    contour far off the real axis) as a RootCertificationError."""
+    def wrapper(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except OverflowError:
+            raise RootCertificationError(
+                f"the secular function overflows in {fn.__name__}") from None
+    return wrapper
 
 
 def _make_secular(a: float, alpha0: float, beta0: float):
@@ -258,21 +278,24 @@ def _make_secular(a: float, alpha0: float, beta0: float):
 
 def secular_value(k, a: float, alpha0: float, beta0: float):
     """F(k) = (k^2 - alpha0^2 - beta0^2) sin(2ka) - 2 beta0 k cos(2ka)."""
-    return _elementwise(_make_secular(a, alpha0, beta0)[0], k)
+    return _elementwise(_make_secular(a, alpha0, beta0)[0], k, a)
 
 
 def secular_derivative(k, a: float, alpha0: float, beta0: float):
     """dF/dk for the secular function."""
-    return _elementwise(_make_secular(a, alpha0, beta0)[1], k)
+    return _elementwise(_make_secular(a, alpha0, beta0)[1], k, a)
 
 
-def _elementwise(fn, k):
+def _elementwise(fn, k, a):
     # the root finder's scalar formula, element by element over arrays
+    _require_finite(k=k)
+    _require_im_2ak(a, np.max(np.abs(np.imag(k)), initial=0.0))
     out = np.vectorize(lambda z: fn(complex(z)), otypes=[complex])(k)
     return complex(out) if out.ndim == 0 else out
 
 
-def _winding_number(f, rect, phase_rate: float = 0.0):
+@_overflow_uncertified
+def _winding_number(f, rect, phase_rate: float):
     """Winding of f around a rectangle boundary by adaptive phase tracking.
 
     Each edge starts densely enough to resolve the known oscillation rate
@@ -328,7 +351,7 @@ def _winding_number(f, rect, phase_rate: float = 0.0):
     return int(round(w))
 
 
-def _certified_winding(f, rect, phase_rate: float = 0.0):
+def _certified_winding(f, rect, phase_rate: float):
     """Winding count, retried on rectangles grown outward by 2, 4 and 6 %
     of each side for a root on the boundary."""
     re0, re1, im0, im1 = rect
@@ -344,6 +367,7 @@ def _certified_winding(f, rect, phase_rate: float = 0.0):
                 raise
 
 
+@_overflow_uncertified
 def _newton_refine(f, fp, k0: complex, mult: int, tol: float) -> complex:
     k = complex(k0)
     for _ in range(80):
@@ -428,7 +452,8 @@ def secular_roots(a: float, alpha0: float, beta0: float,
     such points within iso across a cut are one double root if a box around
     both winds twice.  Other cells bisect to diagonal iso, where Newton with
     the multiplicity polishes each root to |F| <= tol.  The rectangle must
-    exclude k = 0, a trivial zero of F (the k <-> -k symmetry artifact).
+    exclude k = 0, a trivial zero of F (the k <-> -k symmetry artifact),
+    and keep |Im 2ak| <= log(DBL_MAX) once grown by the retries.
     """
     _require_positive(a=a, tol=tol)
     re0, re1, im0, im1 = rect = tuple(float(x) for x in region)
@@ -438,6 +463,8 @@ def secular_roots(a: float, alpha0: float, beta0: float,
     if re0 <= 0.0 <= re1 and im0 <= 0.0 <= im1:
         raise ValidationError(
             "region must exclude k = 0 (trivial zero of the secular function)")
+    grow = 0.06 * (im1 - im0)  # _certified_winding's largest retry
+    _require_im_2ak(a, max(abs(im0 - grow), abs(im1 + grow)))
 
     f, fp = _make_secular(a, alpha0, beta0)
     phase_rate = 2.0 * a
@@ -487,6 +514,7 @@ def branch_curves(a: float, alpha0: float, beta0_samples: Sequence[float],
         raise ValidationError("need at least one seed root")
     _require_finite(alpha0=alpha0, beta0_samples=samples, seeds=seeds)
     _require_positive(a=a, tol=tol)
+    _require_im_2ak(a, max(abs(s.imag) for s in seeds))
 
     def collide(ks):
         return any(abs(x - y) <= _COLLISION_RADIUS

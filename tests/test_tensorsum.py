@@ -283,15 +283,14 @@ class TestPredictTypes:
         assert lookup(predicted_off, 1.0) is TypeConstraint.NOT_MINUS
 
 
-def dist_loop_predictions(f1, f2, separation_radius, coalesce_tol=1e-7):
+def dist_loop_predictions(f1, f2, separation_radius):
     """predict_types with one distance per group, rule and other block."""
     def dist(z, pts):
         return float(np.min(np.abs(pts - z))) if len(pts) else math.inf
 
     if separation_radius is None:
         separation_radius = 1e-4 * max(1.0, _norm2(f1.t) + _norm2(f2.t))
-    pts, tags, groups = _sum_groups(f1.classification, f2.classification,
-                                    coalesce_tol)
+    pts, tags, groups = _sum_groups(f1.classification, f2.classification)
     blocks = {k: pts[tags == k] for k in _BLOCKS}
     rules_on = ()
     c1, c2 = f1.certificate, f2.certificate

@@ -226,21 +226,28 @@ class TestRobinFd:
             assert np.abs(J @ J - np.eye(31)).max() == 0.0
 
     @staticmethod
-    def cases():
+    def cases(a=1.0):
         # a = 1 and n = 3, 5, 33 give steps h = 2^-k, where alpha = -1/h
         # cancels both endpoint entries exactly; -1/h + 0.3j cancels neither
         for n in (3, 5, 25, 33, 48, 800):
-            h = 2.0 / (n - 1)
+            h = 2.0 * a / (n - 1)
             for alpha in (0.0, 0.3 + 0.7j, -0.05 + 1j, -1 / h, -1 / h + 0.3j):
                 yield n, alpha
 
     def test_sparse_matches_dense(self):
-        for n, alpha in self.cases():
-            T, J = robin_fd(1.0, alpha, n)
-            Ts, Js = robin_fd(1.0, alpha, n, sparse=True)
-            assert type(Ts) is type(Js) is sp.csr_matrix
-            np.testing.assert_array_equal(Ts.toarray(), T)
-            np.testing.assert_array_equal(Js.toarray(), J)
+        # bitwise, and against the np.diag sums and flipped identity that
+        # once built the dense pair
+        for a in (1.0, 0.3, A_HALF, 2.5):
+            for n, alpha in self.cases(a):
+                T, J = robin_fd(a, alpha, n)
+                Ts, Js = robin_fd(a, alpha, n, sparse=True)
+                assert type(Ts) is type(Js) is sp.csr_matrix
+                main, off = Ts.diagonal(), Ts.diagonal(1)
+                T_ref = np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
+                for got, want in ((T, Ts.toarray()), (T, T_ref),
+                                  (J, Js.toarray()), (J, np.eye(n)[::-1])):
+                    assert got.dtype == want.dtype
+                    assert got.tobytes() == want.tobytes()
 
     def test_sparse_arrays_match_the_diags_construction(self):
         # the scipy.sparse.diags route the direct CSR build replaced
@@ -287,6 +294,13 @@ class TestRobinFd:
             robin_fd(1.0, 1j, 2)
         with pytest.raises(ValidationError):
             robin_fd(1e-300, 1j, 11)  # 2/h^2 overflows
+
+    @pytest.mark.parametrize("a, alpha", [(1.0, 1e308), (1e-5, 1e305),
+                                          (1.0, -1e308j)])
+    def test_overflowing_endpoint_entry_is_refused(self, a, alpha):
+        # 2/h^2 + 2 alpha/h once came out inf or inf+nanj
+        with pytest.raises(ValidationError, match="Robin stencil"):
+            robin_fd(a, alpha, 5, sparse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +380,40 @@ class TestSecular:
             secular_roots(A_HALF, 0.5, 0.0, (0.2, 2.4, -0.1, 0.1), tol=0.0)
         with pytest.raises(ValidationError, match="a must be finite and positive"):
             secular_roots(-1, 0.5, 0.0, (0.2, 2.4, -0.1, 0.1))
+
+    @pytest.mark.parametrize("a, region", [
+        (A_HALF, (0.2, 2.4, -0.1, 300.0)),
+        (1.0, (0.2, 2.4, -0.1, 1e300)),
+        (1e300, (0.2, 2.4, -0.4, 0.4)),
+        # |Im 2ak| <= 709.75 on the region, 752 after the 6 % retry growth
+        (0.5, (0.2, 2.4, -0.1, 709.75)),
+    ])
+    def test_region_where_sin_2ak_overflows_is_refused(self, a, region):
+        with pytest.raises(ValidationError, match="sin"):
+            secular_roots(a, 0.5, 0.1, region)
+
+    def test_region_just_inside_the_overflow_bound_is_searched(self):
+        # the largest retry reaches |Im 2ak| = 2a (im1 + 6 % of the side) = 700
+        im1 = 700.0 / 1.06
+        assert secular_roots(0.5, 0.5, 0.1, (1.0, 1.2, 0.0, im1)) == []
+
+    @pytest.mark.parametrize("fn", [secular_value, secular_derivative])
+    def test_evaluation_where_sin_2ak_overflows_is_refused(self, fn):
+        assert np.isfinite(fn(0.3 + 200j, A_HALF, 0.5, 0.1))
+        for k in (300j, [1.0, 0.3 - 1e3j], 1e300 + 1e300j):
+            with pytest.raises(ValidationError, match="sin"):
+                fn(k, A_HALF, 0.5, 0.1)
+        with pytest.raises(ValidationError, match="non-finite"):
+            fn(math.inf, A_HALF, 0.5, 0.1)
+
+    def test_overflow_in_newton_or_a_contour_is_uncertified(self):
+        # Newton from k = 300j, and a contour at Im k = 400, meet
+        # sin(2ak) beyond the double range
+        f, fp = _make_secular(A_HALF, 0.5, 0.1)
+        with pytest.raises(RootCertificationError, match="overflows"):
+            _newton_refine(f, fp, 300j, 1, 1e-12)
+        with pytest.raises(RootCertificationError, match="overflows"):
+            _winding_number(f, (0.2, 2.4, 400.0, 401.0), 2.0 * A_HALF)
 
     def test_root_on_boundary_fails_after_retries(self):
         # k = 0.5 is an exact root sitting on the left edge
