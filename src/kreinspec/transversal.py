@@ -128,8 +128,8 @@ def transversal_modes(a: float, alpha0: float, N: int) -> list[TransversalMode]:
     Eigenvalues are alpha0^2 (label 0) and (pi n / 2a)^2 (labels 1..N).
     Ties at an exceptional alpha0 keep the label-0 mode first; both
     members of the degenerate pair are typed not definite, all other
-    types alternate positive/negative with the mu index.  N must cover
-    the lattice modes below alpha0^2 and stay within MAX_LATTICE_MODES.
+    types alternate positive/negative with the mu index.  N must cover the lattice
+    modes below alpha0^2, stay within MAX_LATTICE_MODES and keep (pi N / 2a)^2 finite.
     """
     _require_counts(N=N)
     need = max(1, _min_lattice(a, alpha0))
@@ -137,6 +137,8 @@ def transversal_modes(a: float, alpha0: float, N: int) -> list[TransversalMode]:
         raise ValidationError(
             f"need {need:.6g} <= N <= {MAX_LATTICE_MODES} lattice modes, "
             f"got N = {N:.6g}")
+    if not (top := math.pi * N / (2.0 * a)) * top < math.inf:
+        raise ValidationError(f"half-width a = {a:g} is too small: (pi N / 2a)^2 overflows")
     exc = exceptional_set(a, alpha0)
     lam0 = alpha0 * alpha0
     lattice = [(math.pi * n / (2.0 * a)) ** 2 for n in range(1, N + 1)]
@@ -239,26 +241,36 @@ def robin_fd(a: float, alpha: complex, n: int, sparse: bool = False):
 # ---------------------------------------------------------------------------
 
 _MAX_NODES = 200_000  # F evaluations one winding count may spend
-# sin(2ak) and cos(2ak) stay finite while |Im 2ak| <= log(DBL_MAX), about 709.78
-_MAX_IM_2AK = math.log(sys.float_info.max)
+_GROWTH = tuple(0.02 * i for i in range(4))  # _certified_winding's retries, per side
 
 
-def _require_im_2ak(a: float, im_k: float) -> None:
-    """ValidationError unless |Im 2ak| <= _MAX_IM_2AK wherever |Im k| <= im_k."""
-    if not (y := 2.0 * abs(a) * im_k) <= _MAX_IM_2AK:
-        raise ValidationError(f"|Im 2ak| reaches {y:.6g} > {_MAX_IM_2AK:.6g}: sin(2ak) overflows")
+def _grown(rect, s: float) -> tuple:
+    re0, re1, im0, im1 = rect
+    return (re0 - s * (re1 - re0), re1 + s * (re1 - re0),
+            im0 - s * (im1 - im0), im1 + s * (im1 - im0))
 
 
-def _overflow_uncertified(fn):
-    """Report an OverflowError of F's arithmetic (a Newton iterate or a
-    contour far off the real axis) as a RootCertificationError."""
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except OverflowError:
-            raise RootCertificationError(
-                f"the secular function overflows in {fn.__name__}") from None
-    return wrapper
+def _require_bounded_secular(a: float, alpha0: float, beta0: float, ks) -> None:
+    """ValidationError unless |F(k)| <= (|k|^2 + alpha0^2 + beta0^2 +
+    2 |beta0 k|) cosh(2a Im k) is a finite bound at every k of ``ks``."""
+    for k in ks:
+        with suppress(OverflowError):  # abs(k) or the cosh leaves the float range
+            r = abs(k)
+            if ((r * r + alpha0 * alpha0 + beta0 * beta0 + 2.0 * abs(beta0) * r)
+                    * math.cosh(2.0 * a * k.imag) <= sys.float_info.max):
+                continue
+        raise ValidationError(f"F may overflow at k = {k:.6g}: its bound from |sin 2ak|, |cos 2ak|"
+                              f", (|k|^2 + alpha0^2 + beta0^2 + 2|beta0 k|) cosh(2a Im k), overflows")
+
+
+def _finite(fn):
+    """fn, raising RootCertificationError where its value is not finite."""
+    def checked(k):
+        with suppress(OverflowError, ValueError):  # cmath's range and domain errors
+            if math.isfinite(abs(v := fn(k))):
+                return v
+        raise RootCertificationError(f"the secular function overflows at k = {k:.6g}")
+    return checked
 
 
 def _make_secular(a: float, alpha0: float, beta0: float):
@@ -273,28 +285,32 @@ def _make_secular(a: float, alpha0: float, beta0: float):
         return (2.0 * k * s + 2.0 * a * (k * k - c0) * c
                 - 2.0 * beta0 * c + 4.0 * a * beta0 * k * s)
 
-    return f, fp
+    return _finite(f), _finite(fp)
 
 
 def secular_value(k, a: float, alpha0: float, beta0: float):
     """F(k) = (k^2 - alpha0^2 - beta0^2) sin(2ka) - 2 beta0 k cos(2ka)."""
-    return _elementwise(_make_secular(a, alpha0, beta0)[0], k, a)
+    return _elementwise(0, k, a, alpha0, beta0)
 
 
 def secular_derivative(k, a: float, alpha0: float, beta0: float):
     """dF/dk for the secular function."""
-    return _elementwise(_make_secular(a, alpha0, beta0)[1], k, a)
+    return _elementwise(1, k, a, alpha0, beta0)
 
 
-def _elementwise(fn, k, a):
+def _elementwise(which, k, a, alpha0, beta0):
     # the root finder's scalar formula, element by element over arrays
     _require_finite(k=k)
-    _require_im_2ak(a, np.max(np.abs(np.imag(k)), initial=0.0))
-    out = np.vectorize(lambda z: fn(complex(z)), otypes=[complex])(k)
+    ks = [complex(z) for z in np.ravel(k).tolist()]
+    _require_bounded_secular(a, alpha0, beta0, ks)
+    fn = _make_secular(a, alpha0, beta0)[which]
+    try:
+        out = np.array([fn(z) for z in ks], dtype=complex).reshape(np.shape(k))
+    except RootCertificationError as exc:
+        raise ValidationError(str(exc)) from None
     return complex(out) if out.ndim == 0 else out
 
 
-@_overflow_uncertified
 def _winding_number(f, rect, phase_rate: float):
     """Winding of f around a rectangle boundary by adaptive phase tracking.
 
@@ -318,7 +334,7 @@ def _winding_number(f, rect, phase_rate: float):
         if nodes > _MAX_NODES:
             raise RootCertificationError(
                 f"contour sampling needs over {_MAX_NODES} nodes")
-        ts = np.linspace(0.0, 1.0, n0 + 1)
+        ts = np.linspace(0.0, 1.0, n0 + 1).tolist()
         pts = [zA + t * (zB - zA) for t in ts]
         vals = [f(z) for z in pts]
         seg = list(zip(pts[:-1], vals[:-1], pts[1:], vals[1:]))
@@ -352,22 +368,16 @@ def _winding_number(f, rect, phase_rate: float):
 
 
 def _certified_winding(f, rect, phase_rate: float):
-    """Winding count, retried on rectangles grown outward by 2, 4 and 6 %
-    of each side for a root on the boundary."""
-    re0, re1, im0, im1 = rect
-    for i in range(4):
-        s = 0.02 * i
+    """Winding count, retried on rectangles grown outward by each _GROWTH
+    of each side (2, 4 and 6 %) for a root on the boundary."""
+    for s in _GROWTH:
         try:
-            return _winding_number(f, (re0 - s * (re1 - re0),
-                                       re1 + s * (re1 - re0),
-                                       im0 - s * (im1 - im0),
-                                       im1 + s * (im1 - im0)), phase_rate)
+            return _winding_number(f, _grown(rect, s), phase_rate)
         except RootCertificationError:
-            if i == 3:
+            if s == _GROWTH[-1]:
                 raise
 
 
-@_overflow_uncertified
 def _newton_refine(f, fp, k0: complex, mult: int, tol: float) -> complex:
     k = complex(k0)
     for _ in range(80):
@@ -452,8 +462,8 @@ def secular_roots(a: float, alpha0: float, beta0: float,
     such points within iso across a cut are one double root if a box around
     both winds twice.  Other cells bisect to diagonal iso, where Newton with
     the multiplicity polishes each root to |F| <= tol.  The rectangle must
-    exclude k = 0, a trivial zero of F (the k <-> -k symmetry artifact),
-    and keep |Im 2ak| <= log(DBL_MAX) once grown by the retries.
+    exclude k = 0, a trivial zero of F (the k <-> -k symmetry artifact), and keep
+    the bound on |F| of _require_bounded_secular finite once grown by the retries.
     """
     _require_positive(a=a, tol=tol)
     re0, re1, im0, im1 = rect = tuple(float(x) for x in region)
@@ -463,8 +473,8 @@ def secular_roots(a: float, alpha0: float, beta0: float,
     if re0 <= 0.0 <= re1 and im0 <= 0.0 <= im1:
         raise ValidationError(
             "region must exclude k = 0 (trivial zero of the secular function)")
-    grow = 0.06 * (im1 - im0)  # _certified_winding's largest retry
-    _require_im_2ak(a, max(abs(im0 - grow), abs(im1 + grow)))
+    g = _grown(rect, _GROWTH[-1])
+    _require_bounded_secular(a, alpha0, beta0, [complex(x, y) for x in g[:2] for y in g[2:]])
 
     f, fp = _make_secular(a, alpha0, beta0)
     phase_rate = 2.0 * a
@@ -514,7 +524,7 @@ def branch_curves(a: float, alpha0: float, beta0_samples: Sequence[float],
         raise ValidationError("need at least one seed root")
     _require_finite(alpha0=alpha0, beta0_samples=samples, seeds=seeds)
     _require_positive(a=a, tol=tol)
-    _require_im_2ak(a, max(abs(s.imag) for s in seeds))
+    _require_bounded_secular(a, alpha0, max(samples, key=abs), seeds)
 
     def collide(ks):
         return any(abs(x - y) <= _COLLISION_RADIUS

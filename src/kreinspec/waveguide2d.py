@@ -114,17 +114,6 @@ class WaveguideOperator:
         return self.H.shape[0]
 
 
-def _x_second_difference(grid: GridSpec) -> scipy.sparse.csr_matrix:
-    """Dx = tridiag(-1, 2, -1) / hx^2 by ``scipy.sparse.diags``; periodic
-    grids add the corners as the diagonals +-(nx - 1)."""
-    nx, hx = grid.nx, grid.hx
-    offsets = [0, -1, 1]
-    if XBoundary(grid.x_boundary) is XBoundary.PERIODIC:
-        offsets += [1 - nx, nx - 1]
-    values = [2.0 / hx**2] + [-1.0 / hx**2] * (len(offsets) - 1)
-    return scipy.sparse.diags(values, offsets, shape=(nx, nx), format="csr")
-
-
 def assemble_waveguide(grid: GridSpec, alpha: Callable[[float], complex],
                        V: Callable[[float, float], complex]) -> WaveguideOperator:
     """Assemble H = -Laplace + V with Robin walls at y = +-a.
@@ -134,16 +123,13 @@ def assemble_waveguide(grid: GridSpec, alpha: Callable[[float], complex],
     so for wall-conjugation-symmetric V the assembled matrix satisfies
     J H* J = H exactly (J the y-reversal permutation).
 
-    H's CSR arrays are written five slots per row: row (i, r) is row i of
-    Dx (from ``scipy.sparse.diags``), placed at columns (j, r), with its
-    diagonal widened to the band of column i's sparse ``robin_fd`` stencil
-    T_i and (Dx[i, i] + T_i[r, r]) + V[i, r] in the middle, one x block per
-    loop pass. Each entry is the value (kron(Dx, I) + blockdiag(T_i)) +
-    diags(V) gives, exact-zero sums dropped and indices sorted, so the
-    arrays equal that sum's bit for bit; no Kronecker product, sparse sum
-    or other nnz-sized copy is made, since the kept slots are compacted in
-    place into H's data and indices. J is built and checked as an
-    involution on its index arrays.
+    Row (i, r) of H fills five slots: x neighbour (i-1, r), the stencil
+    (i, r-1..r+1) of column i's sparse ``robin_fd`` T_i with (2/hx^2 +
+    T_i[r, r]) + V[i, r] in the middle, and x neighbour (i+1, r). scipy's
+    in-place ``eliminate_zeros`` drops the padding and exact-zero sums and
+    ``sort_indices`` orders a periodic grid's wrapped corners, so H equals
+    (kron(Dx, I) + blockdiag(T_i)) + diags(V) bit for bit. J is built and
+    checked as an involution on its index arrays.
     """
     grid.validate()
     x, y = grid.x_nodes().tolist(), grid.y_nodes().tolist()
@@ -162,39 +148,24 @@ def assemble_waveguide(grid: GridSpec, alpha: Callable[[float], complex],
 
     nx, ny, n = grid.nx, grid.ny, grid.nx * grid.ny
     node = np.arange(n, dtype=np.int32).reshape(nx, ny)
-    Dx = _x_second_difference(grid)
-    xrow = np.repeat(np.arange(nx), np.diff(Dx.indptr))
-    # slot of Dx[i, j] in row (i, r): its place in Dx's row i, moved past
-    # the diagonal's three y slots if j > i
-    slot = np.arange(Dx.nnz) - Dx.indptr[xrow] + 2 * (Dx.indices > xrow)
     vals = np.zeros((nx, ny, 5), dtype=complex)
-    cols = np.zeros((nx, ny, 5), dtype=np.int32)
-    nb = Dx.indices != xrow  # the x neighbours
-    vals[xrow[nb], :, slot[nb]] = Dx.data[nb, None]  # (Dx + 0) + 0
-    cols[xrow[nb], :, slot[nb]] = Dx.indices[nb, None] * ny + node[0]
-    b, first, xdiag = xrow[~nb], slot[~nb], Dx.data[~nb]  # x block, stencil slot, Dx[i, i]
-    for i, (f, al) in enumerate(zip(first, alpha_samples)):
+    cols = np.empty((nx, ny, 5), dtype=np.int32)
+    vals[..., 0] = vals[..., 4] = -1.0 / grid.hx**2
+    if XBoundary(grid.x_boundary) is XBoundary.DIRICHLET:
+        vals[0, :, 0] = vals[-1, :, 4] = 0.0
+    # a neighbour is node rolled by one x block or y node: padding stays in range
+    cols[..., 0], cols[..., 4] = np.roll(node, 1, axis=0), np.roll(node, -1, axis=0)
+    cols[..., 1], cols[..., 2], cols[..., 3] = np.roll(node, 1), node, np.roll(node, -1)
+    for i, al in enumerate(alpha_samples):
         T = robin_fd(grid.a, al, ny, sparse=True)[0]
-        vals[i, :, f + 1] = T.diagonal()
-    vals[b, :, first + 1] = (vals[b, :, first + 1] + xdiag[:, None]) + V_samples
+        vals[i, :, 2] = T.diagonal()
+    vals[..., 2] = (vals[..., 2] + 2.0 / grid.hx**2) + V_samples
     # T_i's off-diagonals do not depend on alpha: the last T_i's serve all
-    vals[b, 1:, first], vals[b, :-1, first + 2] = T.diagonal(-1), T.diagonal(1)
-    for k in range(3):
-        cols[b, :, first + k] = node + (k - 1)
-
-    keep = vals != 0  # drops the padding and the exact-zero sums
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(keep.sum(axis=2).ravel(), out=indptr[1:])
-    data, indices, keep = vals.reshape(-1), cols.reshape(-1), keep.reshape(-1)
-    nnz = 0
-    for start in range(0, keep.size, _CHUNK):
-        # every kept slot moves left, so no unread slot is overwritten
-        k = keep[start:start + _CHUNK]
-        m = int(np.count_nonzero(k))
-        data[nnz:nnz + m] = data[start:start + _CHUNK][k]
-        indices[nnz:nnz + m] = indices[start:start + _CHUNK][k]
-        nnz += m
-    H = scipy.sparse.csr_matrix((data[:nnz], indices[:nnz], indptr), shape=(n, n))
+    vals[:, 1:, 1], vals[:, :-1, 3] = T.diagonal(-1), T.diagonal(1)
+    indptr = np.arange(0, 5 * n + 1, 5, dtype=np.int32)
+    H = scipy.sparse.csr_matrix((vals.ravel(), cols.ravel(), indptr), shape=(n, n))
+    H.eliminate_zeros()
+    H.sort_indices()
 
     # a 0/1 permutation is symmetric iff it is an involution: exact, default tol
     flip = node[:, ::-1].ravel()

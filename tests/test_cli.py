@@ -457,7 +457,8 @@ class TestExitCodes:
         (["transversal", "--alpha0", "1e200"], 2),
         (["transversal", "--a", "1e308", "--alpha0", "1e308"], 2),
         (["secular", "--a", "1e300"], 2),
-        (["secular", "--re-min", "1e300", "--re-max", "1e301"], 3),
+        # the bound on |F| is finite, the contour too long to sample
+        (["secular", "--re-min", "1e100", "--re-max", "1e101"], 3),
         (["secular", "--a", "1e300", "--re-max", "1e10"], 2),
         (["spectrum2d", "--nx", "8", "--ny", "8", "--a", "1e-300"], 2),
         (["spectrum2d", "--nx", "8", "--ny", "8", "--lx", "1e-300"], 2),
@@ -472,6 +473,18 @@ class TestExitCodes:
         (["secular", "--im-max", "300"], 2),
         (["secular", "--im-max", "1e300"], 2),
         (["spectrum2d", "--nx", "8", "--ny", "8", "--alpha0", "1e308"], 2),
+        # the bound on |F| overflows on the grown region (|k|^2 at 1e301; F
+        # itself did at 1e154 and at the --im-max 700 corner); then
+        # (pi N / 2a)^2 overflows
+        (["secular", "--re-min", "1e300", "--re-max", "1e301"], 2),
+        (["secular", "--alpha0", "1e154"], 2),
+        (["secular", "--alpha0", "1e200"], 2),
+        (["secular", "--a", "0.5", "--alpha0", "0.5", "--beta0", "0.1",
+          "--re-min", "1.0", "--re-max", "1.2", "--im-min", "690",
+          "--im-max", "700"], 2),
+        (["transversal", "--a", "1e-300"], 2),
+        (["msets", "--a", "1e-300"], 2),
+        (["figures", "--which", "fig1", "--a", "1e-300"], 2),
     ])
     def test_extreme_finite_flags_exit_cleanly(self, tmp_path, capsys,
                                                args, code):

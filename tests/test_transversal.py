@@ -162,6 +162,13 @@ class TestTransversalModes:
             # label-0 eigenvalue 12.25 sits above lattice modes 1..3
             transversal_modes(A_HALF, 3.5, 2)
 
+    @pytest.mark.parametrize("a", [1e-300, 5e-324])
+    def test_half_width_whose_lattice_overflows_is_refused(self, a):
+        # (pi N / 2a)^2 overflows, or pi N / 2a itself
+        with pytest.raises(ValidationError, match="half-width"):
+            transversal_modes(a, 0.5, 1)
+        assert len(transversal_modes(1e-150, 0.5, 1)) == 2
+
     def test_boundary_gate_is_relative_to_the_coupling(self, monkeypatch):
         # the absolute residual reaches 2e-10 at alpha0 = 700 on exact modes
         modes = transversal_modes(A_HALF, 700.0, 720)
@@ -393,9 +400,12 @@ class TestSecular:
             secular_roots(a, 0.5, 0.1, region)
 
     def test_region_just_inside_the_overflow_bound_is_searched(self):
-        # the largest retry reaches |Im 2ak| = 2a (im1 + 6 % of the side) = 700
-        im1 = 700.0 / 1.06
-        assert secular_roots(0.5, 0.5, 0.1, (1.0, 1.2, 0.0, im1)) == []
+        # the largest retry reaches k = 1.212 + 1.06 im1 j, where the bound
+        # (|k|^2 + 0.26 + 0.2 |k|) cosh(Im k) on |F| passes DBL_MAX between
+        # im1 = 657.9 and 658
+        assert secular_roots(0.5, 0.5, 0.1, (1.0, 1.2, 0.0, 657.9)) == []
+        with pytest.raises(ValidationError, match="sin"):
+            secular_roots(0.5, 0.5, 0.1, (1.0, 1.2, 0.0, 658.0))
 
     @pytest.mark.parametrize("fn", [secular_value, secular_derivative])
     def test_evaluation_where_sin_2ak_overflows_is_refused(self, fn):
@@ -405,6 +415,32 @@ class TestSecular:
                 fn(k, A_HALF, 0.5, 0.1)
         with pytest.raises(ValidationError, match="non-finite"):
             fn(math.inf, A_HALF, 0.5, 0.1)
+
+    def test_evaluation_where_the_value_overflows_is_refused(self):
+        # |F| is within its bound where F' is not, or 2ak itself overflows
+        assert math.isfinite(abs(secular_value(1e5, 1e300, 0.5, 0.1)))
+        with pytest.raises(ValidationError, match="overflows at k"):
+            secular_derivative(1e5, 1e300, 0.5, 0.1)
+        for fn in (secular_value, secular_derivative):
+            with pytest.raises(ValidationError, match="overflows at k"):
+                fn([1.0, 1e10 + 1e-300j], 1e300, 0.5, 0.1)
+            with pytest.raises(ValidationError, match="sin"):
+                fn(0.3 + 225j, A_HALF, 0.5, 0.1)  # returned -inf+nanj
+
+    @pytest.mark.parametrize("alpha0", [1e154, 1e200])
+    def test_coupling_whose_secular_function_overflows_is_refused(self, alpha0):
+        # alpha0^2 + beta0^2 is finite for 1e154, but the bound on |F| is not
+        with pytest.raises(ValidationError, match="sin"):
+            secular_roots(A_HALF, alpha0, -0.05, (0.7, 1.3, -0.4, 0.4))
+
+    def test_seeds_whose_secular_function_overflows_are_refused(self):
+        with pytest.raises(ValidationError, match="sin"):
+            branch_curves(A_HALF, 1e200, [-0.1, -0.05], [1.0 + 0.1j])
+        with pytest.raises(ValidationError, match="sin"):
+            branch_curves(A_HALF, 1.0, [-0.1, -0.05], [1.0 + 300j])
+        # the bound on |F| holds at 1e154, F' overflows: Newton is uncertified
+        with pytest.raises(RootCertificationError, match="overflows"):
+            branch_curves(A_HALF, 1e154, [-0.1, -0.05], [1.0 + 0.1j])
 
     def test_overflow_in_newton_or_a_contour_is_uncertified(self):
         # Newton from k = 300j, and a contour at Im k = 400, meet

@@ -112,7 +112,7 @@ class TestAssembly:
             T, _ = robin_fd(g.a, al, ny)
             blocks.append(sp.diags([np.diag(T, -1), np.diag(T), np.diag(T, 1)],
                                    [-1, 0, 1], format="csr"))
-        H = (sp.kron(waveguide2d._x_second_difference(g), sp.identity(ny),
+        H = (sp.kron(csr_x_second_difference(g), sp.identity(ny),
                      format="csr")
              + sp.block_diag(blocks, format="csr")
              + sp.diags(op.V_samples.ravel())).tocsr()
@@ -130,7 +130,7 @@ class TestAssembly:
         if boundary is XBoundary.PERIODIC:
             D[0, nx - 1] = -1.0 / hx**2
             D[nx - 1, 0] = -1.0 / hx**2
-        assert_same_arrays(waveguide2d._x_second_difference(g), D.tocsr())
+        assert_same_arrays(csr_x_second_difference(g), D.tocsr())
 
     def test_pt_defect_exactly_zero_for_constant_coupling(self):
         op = free_operator()
@@ -179,8 +179,8 @@ class TestAssembly:
                                lambda x, y: math.nan)
 
 
-# The CSR-array constructions that scipy.sparse.diags and the one-loop
-# stencil read replaced, kept as reference kernels for their arrays.
+# Reference kernels: Dx and H built from CSR arrays in ways the assembler
+# no longer uses, for bitwise checks of its arrays.
 def csr_x_second_difference(grid):
     """Dx = tridiag(-1, 2, -1) / hx^2, periodic corners included, from its
     CSR arrays."""
@@ -279,8 +279,6 @@ class TestAgainstCsrReferenceKernels:
         a, Lx, nx, ny, boundary, alpha, V = REFERENCE_GRIDS[name]
         g = GridSpec(a=a, Lx=Lx, nx=nx, ny=ny, x_boundary=boundary)
         op = assemble_waveguide(g, alpha, V)
-        assert_same_arrays(waveguide2d._x_second_difference(g),
-                           csr_x_second_difference(g))
         assert_same_arrays(op.H, two_loop_assembly(g, op.alpha_samples,
                                                    op.V_samples))
         idx = np.arange(g.nx * g.ny + 1, dtype=np.int32)
@@ -482,7 +480,7 @@ def materialised_kronecker_rule(op):
             or np.any(al != al[0]) or np.any(V != V[0])):
         return False
     T_y = robin_fd(g.a, al[0], g.ny, sparse=True)[0] + sp.diags(V[0])
-    K = (sp.kron(waveguide2d._x_second_difference(g), sp.identity(g.ny))
+    K = (sp.kron(csr_x_second_difference(g), sp.identity(g.ny))
          + sp.kron(sp.identity(g.nx), T_y))
     return not abs(K - op.H).max() > 4 * np.finfo(float).eps * abs(op.H).max()
 
@@ -566,12 +564,21 @@ class TestKroneckerRule:
 class TestMemory:
     """tracemalloc peaks on the criterion-11 strip, in multiples of H's bytes."""
 
+    @staticmethod
+    def h_bytes(op):
+        H = op.H
+        return H.data.nbytes + H.indices.nbytes + H.indptr.nbytes
+
+    @staticmethod
+    def assemble(boundary):
+        g = GridSpec(a=A_HALF, Lx=40.0, nx=640, ny=48, x_boundary=boundary)
+        return assemble_waveguide(g, lambda x: complex(-0.05, 1.0),
+                                  lambda x, y: 0.0)
+
     def test_assembly_and_eigs_near_make_no_nnz_sized_copies(self):
-        g = GridSpec(a=A_HALF, Lx=40.0, nx=640, ny=48)
         tracemalloc.start()
         try:
-            op = assemble_waveguide(g, lambda x: complex(-0.05, 1.0),
-                                    lambda x, y: 0.0)
+            op = self.assemble(XBoundary.DIRICHLET)
             assembly = tracemalloc.get_traced_memory()[1]
             peaks = {}
             for name, call in (
@@ -583,12 +590,22 @@ class TestMemory:
                 peaks[name] = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        H = op.H
-        h_bytes = H.data.nbytes + H.indices.nbytes + H.indptr.nbytes
+        h_bytes = self.h_bytes(op)
         # assembly returns H, J and the samples: about 1.35 H
         assert assembly <= 2.5 * h_bytes
         assert peaks["eigs_near"] <= 1.5 * h_bytes
         assert peaks["kronecker"] <= 1.0 * h_bytes
+
+    def test_periodic_assembly_sorts_in_place(self):
+        # the wrapped corners leave block 0's and block nx-1's rows unsorted
+        tracemalloc.start()
+        try:
+            op = self.assemble(XBoundary.PERIODIC)
+            assembly = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert op.H.has_canonical_format
+        assert assembly <= 2.5 * self.h_bytes(op)
 
 
 class TestPseudospectrum:
