@@ -181,8 +181,8 @@ class MSets(NamedTuple):
 _SIGN = {_P: "p", _M: "m"}
 
 
-def _check_typed(c: ClassifiedSpectrum):
-    for e in c.entries:
+def _check_typed(c):
+    for e in c:
         if not isinstance(e.type, SpectralType):
             raise ValidationError(f"eigenvalue {e.lam} carries no spectral type")
 
@@ -215,7 +215,7 @@ def _m_sets(groups) -> MSets:
     return MSets(plus, minus, zero)
 
 
-def predict_m_sets(c1, c2: ClassifiedSpectrum) -> MSets:
+def predict_m_sets(c1, c2) -> MSets:
     """Membership sets for the sum spectrum from the typed factor spectra.
 
     Finite route: M+ collects sums of two positive or two negative points,
@@ -223,17 +223,18 @@ def predict_m_sets(c1, c2: ClassifiedSpectrum) -> MSets:
     decompositions pass through a not-definite factor point).  Symbolic
     route: ``c1`` may be a RealLineSet standing for a spectrum of uniformly
     positive type (a self-adjoint factor with J = I); then each set is the
-    Minkowski sum of the matching typed points of ``c2`` with that set.
+    Minkowski sum of the matching typed points of ``c2``, any entries with
+    ``.lam`` and ``.type`` (transversal modes too), with that set.
     """
     if isinstance(c1, RealLineSet):
         _check_typed(c2)
-        nonreal = [e.lam for e in c2.entries if abs(complex(e.lam).imag) > 0]
+        nonreal = [e.lam for e in c2 if abs(complex(e.lam).imag) > 0]
         if nonreal:
             raise ValidationError(
                 f"symbolic route needs a real factor-2 spectrum, got {nonreal[0]}")
         parts = []
         for t in (_P, _M, _0):
-            pts = [complex(e.lam).real for e in c2.entries if e.type is t]
+            pts = [complex(e.lam).real for e in c2 if e.type is t]
             parts.append(minkowski_add_points(pts, c1))
         return MSets(*parts)
     return _m_sets(_sum_groups(c1, c2)[2])

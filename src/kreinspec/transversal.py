@@ -35,7 +35,8 @@ import scipy.sparse
 from .errors import (NumericalError, RootCertificationError, ValidationError)
 from .krein import (SpectralType, _require_counts, _require_finite,
                     _require_grid_step, _require_positive)
-from .realsets import Interval, RealLineSet, minkowski_add_points
+from .realsets import Interval, RealLineSet
+from .tensorsum import predict_m_sets
 
 __all__ = [
     "TransversalMode",
@@ -125,7 +126,8 @@ def _min_lattice(a: float, alpha0: float) -> int:
 def transversal_modes(a: float, alpha0: float, N: int) -> list[TransversalMode]:
     """Modes 0..N of the transversal operator at beta0 = 0, mu-sorted.
 
-    Eigenvalues are alpha0^2 (label 0) and (pi n / 2a)^2 (labels 1..N).
+    Eigenvalues are alpha0^2 (label 0) and (pi n / 2a)^2 (labels 1..N), each
+    with psi = cos(k(y+a)) - i (alpha0/k) sin(k(y+a)) for either sign of alpha0.
     Ties at an exceptional alpha0 keep the label-0 mode first; both
     members of the degenerate pair are typed not definite, all other
     types alternate positive/negative with the mu index.  N must cover the lattice
@@ -150,14 +152,10 @@ def transversal_modes(a: float, alpha0: float, N: int) -> list[TransversalMode]:
 
     modes = []
     for mu_index, (lam, n) in enumerate(raw):
-        k = math.sqrt(lam0) if n == 0 else math.sqrt(lam)
-        if n == 0:
-            A, B = 1.0 + 0.0j, -1.0j
-            ind = _indicator_mode0(a, alpha0)
-        else:
-            A = 1.0 + 0.0j
-            B = -1.0j * alpha0 / k
-            ind = a * (-1.0) ** n * (lam - alpha0 * alpha0) / lam
+        k = math.sqrt(lam)  # 0 only for the constant mode 0 at alpha0 ~ 0
+        B = -1.0j * alpha0 / k if k else -1.0j
+        ind = (_indicator_mode0(a, alpha0) if n == 0
+               else a * (-1.0) ** n * (lam - alpha0 * alpha0) / lam)
         if mu_index in exc:
             t = SpectralType.NOT_DEFINITE
         else:
@@ -166,7 +164,7 @@ def transversal_modes(a: float, alpha0: float, N: int) -> list[TransversalMode]:
                 raise NumericalError(
                     f"indicator sign of mode {n} contradicts its mu parity")
         mode = TransversalMode(n=n, mu_index=mu_index, lam=lam,
-                               psi_coeffs=(A, B), indicator=ind, type=t)
+                               psi_coeffs=(1.0 + 0.0j, B), indicator=ind, type=t)
         res = _boundary_residual(mode, a, alpha0) / max(1.0, abs(alpha0), k)
         if res > 1e-10:
             raise NumericalError(f"mode {n} violates the boundary conditions "
@@ -715,11 +713,11 @@ def waveguide_m_sets(a: float, alpha0: float, longitudinal,
     """Layered type decomposition of the waveguide's essential structure.
 
     M_mu is the Minkowski sum of the mu-type transversal eigenvalues with
-    the full longitudinal spectrum; then sigma_pp = M+ minus the others,
-    sigma_mm symmetrically, and sigma_00 = M0 together with the overlap of
-    M+ and M-.  The mode cutoff is chosen (or validated, when ``n_modes``
-    is passed) so every layer below ``window_max`` is present, together
-    with the lattice modes below alpha0^2.
+    the full longitudinal spectrum, ``predict_m_sets``' symbolic route;
+    then sigma_pp = M+ minus the others, sigma_mm symmetrically, and
+    sigma_00 = M0 together with the overlap of M+ and M-.  The mode cutoff
+    is chosen (or validated, when ``n_modes`` is passed) so every layer
+    below ``window_max`` is present, with the lattice modes below alpha0^2.
     """
     essential, points = longitudinal
     r_set = essential.union(RealLineSet.from_points(points))
@@ -744,13 +742,7 @@ def waveguide_m_sets(a: float, alpha0: float, longitudinal,
             f"energy window {window_max} exceeds the transversal cutoff "
             f"(lambda_{n_modes} = {lam_top:.6g} starts at {lam_top + r_min:.6g})")
 
-    by_type = {t: [m.lam for m in modes if m.type is t]
-               for t in (SpectralType.POSITIVE, SpectralType.NEGATIVE,
-                         SpectralType.NOT_DEFINITE)}
-    m_plus = minkowski_add_points(by_type[SpectralType.POSITIVE], r_set)
-    m_minus = minkowski_add_points(by_type[SpectralType.NEGATIVE], r_set)
-    m_zero = minkowski_add_points(by_type[SpectralType.NOT_DEFINITE], r_set)
-
+    m_plus, m_minus, m_zero = predict_m_sets(r_set, modes)
     sigma_pp = m_plus.subtract(m_minus.union(m_zero))
     sigma_mm = m_minus.subtract(m_plus.union(m_zero))
     sigma_00 = m_zero.union(m_plus.intersect(m_minus))

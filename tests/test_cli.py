@@ -497,6 +497,28 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [
+        ["transversal", "--alpha0", "-1"],
+        ["msets", "--alpha0", "-1"],
+        ["figures", "--which", "fig1", "--alpha0-min", "-1"],
+        ["figures", "--which", "fig1", "--alpha0-min", "-3", "--alpha0-max", "-0.5"],
+        ["figures", "--which", "fig2", "--alpha0-min", "-1"],
+        ["figures", "--which", "fig2", "--alpha0-min", "-3", "--alpha0-max", "-0.5"],
+    ])
+    def test_negative_coupling_runs(self, tmp_path, capsys, args):
+        code, out = run_cli(args, tmp_path)
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert any(out.iterdir())
+
+    def test_negative_coupling_types_equal_the_positive_ones(self, tmp_path):
+        def body(alpha0):
+            out = run_cli(["transversal", "--alpha0", alpha0], tmp_path, alpha0)[1]
+            return [line for line in (out / "transversal.csv").read_text().splitlines()
+                    if not line.startswith("# config-sha256:")]
+
+        assert body("-1") == body("1")
+
     @pytest.mark.parametrize("argv, bound", [
         (["branches", "--samples"], 100_000),
         (["figures", "--which", "fig3", "--samples"], 100_000),

@@ -54,6 +54,8 @@ from kreinspec.tensorsum import (
     random_jsa_factor,
     run_campaign,
 )
+from kreinspec.transversal import (Constant, SquareWell, Zero, longitudinal_spectrum,
+                                   transversal_modes, waveguide_m_sets)
 
 POS, NEG, ND = (SpectralType.POSITIVE, SpectralType.NEGATIVE,
                 SpectralType.NOT_DEFINITE)
@@ -188,6 +190,30 @@ class TestPredictMSets:
         c2 = spectrum((1.0 + 0.2j, ND))
         with pytest.raises(ValidationError, match="real"):
             predict_m_sets(HALF_LINE, c2)
+
+    @pytest.mark.parametrize("alpha0, longitudinal", [
+        (0.5, Zero()), (1.0, Zero()), (2.5, SquareWell(1.0, 2.0)),
+        (-0.8, Constant(-1.0)), (-2.0, SquareWell(3.0, 2.0))])
+    def test_symbolic_route_takes_transversal_modes(self, alpha0, longitudinal):
+        # a list of modes reads as a ClassifiedSpectrum of the same points
+        # and types, and waveguide_m_sets' sigma-sets are built from its sets
+        ess, pts = long = longitudinal_spectrum(longitudinal)
+        r_set = ess.union(RealLineSet.from_points(pts))
+        dec = waveguide_m_sets(math.pi / 2, alpha0, long, window_max=15.0)
+        modes = transversal_modes(math.pi / 2, alpha0, len(dec.mu) - 1)
+        m = predict_m_sets(r_set, modes)
+        assert m == predict_m_sets(r_set, spectrum(*[(x.lam, x.type) for x in modes]))
+        assert dec.sigma_pp == m.m_plus.subtract(m.m_minus.union(m.m_zero))
+        assert dec.sigma_mm == m.m_minus.subtract(m.m_plus.union(m.m_zero))
+        assert dec.sigma_00 == m.m_zero.union(m.m_plus.intersect(m.m_minus))
+
+    def test_untyped_entry_in_a_list_rejected(self):
+        untyped = [SpectrumEntry(lam=1.0, alg_mult=1, geo_mult=1, type=None,
+                                 gram_eigs=np.array([])),
+                   dataclasses.replace(transversal_modes(1.0, 0.5, 2)[0], type="positive")]
+        for entry in untyped:
+            with pytest.raises(ValidationError, match="type"):
+                predict_m_sets(HALF_LINE, [entry])
 
     def test_untyped_entry_rejected(self):
         bad = ClassifiedSpectrum((SpectrumEntry(lam=1.0, alg_mult=1, geo_mult=1,

@@ -15,6 +15,7 @@ from kreinspec import (
     RootCertificationError,
     SpectralType,
     ValidationError,
+    classify_point,
     classify_spectrum,
 )
 from kreinspec.realsets import Interval, RealLineSet
@@ -190,6 +191,39 @@ class TestTransversalModes:
         assert [m.n for m in modes] == [1, 2, 3, 0]
         assert [m.mu_index for m in modes] == [0, 1, 2, 3]
         assert modes[-1].lam == pytest.approx(12.25, abs=1e-12)
+
+
+class TestNegativeCoupling:
+    """alpha0 -> -alpha0 conjugates the boundary conditions, so the closed
+    forms keep every eigenvalue, indicator and type and conjugate psi."""
+
+    @pytest.mark.parametrize("a, alpha0", [
+        (A_HALF, 0.5), (A_HALF, 2.5), (0.9, 1.3), (2.3, 0.05), (0.4, 3.7),
+        (A_HALF, 0.0), (A_HALF, 1.0), (A_HALF, 2.0)])
+    def test_sign_flip_conjugates_the_modes(self, a, alpha0):
+        plus, minus = transversal_modes(a, alpha0, 6), transversal_modes(a, -alpha0, 6)
+
+        def key(m):
+            return m.n, m.mu_index, m.lam, m.indicator, m.type
+
+        assert [key(m) for m in minus] == [key(m) for m in plus]
+        y = np.linspace(-a, a, 9)
+        for p, m in zip(plus, minus):
+            A, B = p.psi_coeffs
+            if p.lam > 0:  # the constant mode's B multiplies sin(0)
+                assert m.psi_coeffs == (A, B.conjugate())
+            np.testing.assert_array_equal(mode_function(m, a, y),
+                                          np.conj(mode_function(p, a, y)))
+
+    @pytest.mark.parametrize("alpha0", [-0.5, -2.5])
+    def test_types_match_the_gram_classifier(self, alpha0):
+        # the finite-difference cross-check of each closed-form type
+        T, J = robin_fd(A_HALF, 1j * alpha0, 121)
+        eigvals = np.linalg.eigvals(T)
+        for m in transversal_modes(A_HALF, alpha0, 8):
+            lam_hat = eigvals[np.argmin(np.abs(eigvals - m.lam))]
+            assert abs(lam_hat - m.lam) < 0.1 * max(1.0, m.lam)
+            assert classify_point(T, J, lam_hat, eigvals=eigvals).type is m.type
 
 
 class TestExceptionalSet:

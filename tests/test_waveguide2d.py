@@ -783,3 +783,47 @@ class TestRealnessReport:
         obj = rep.to_json_obj()
         assert obj["schema"] == "kreinspec/realness-report-v1"
         assert obj["flagged"] == [[0.5, 0.01]]
+
+
+class TestWeakCouplingBoundState:
+    """Simon's weak-coupling law as an oracle for the non-separable strip.
+
+    With alpha(x) = i(alpha0 + eps b(x)), Hellmann-Feynman on the lowest
+    transversal eigenvalue mu0 = alpha0^2 gives the longitudinal potential
+    2 alpha0 eps b(x) to first order.  When alpha0 int b < 0 one bound state
+    then sits at mu0 - lambda = eps^2 alpha0^2 (int b)^2 + O(eps^3), which is
+    pi alpha0^2 for b = -exp(-x^2), and none when alpha0 int b > 0 (B. Simon,
+    Ann. Phys. 97 (1976); D. Borisov and D. Krejcirik, IEOT 62 (2008)).
+    """
+
+    ALPHA0, NY, HX = 0.5, 24, 0.1
+
+    def threshold_and_pairs(self, eps, sign):
+        # Lx keeps the bound state, of decay length 1/(eps alpha0 sqrt(pi)), inside
+        Lx = max(40.0, 12.0 / (eps * self.ALPHA0 * math.sqrt(math.pi)))
+        grid = GridSpec(a=A_HALF, Lx=Lx, nx=round(2 * Lx / self.HX) - 1, ny=self.NY)
+        op = assemble_waveguide(
+            grid, lambda x: 1j * (self.ALPHA0 + sign * eps * math.exp(-x * x)),
+            lambda x, y: 0.0)
+        # the discrete threshold: the lowest robin_fd and Dirichlet Dx eigenvalues
+        T = robin_fd(A_HALF, 1j * self.ALPHA0, self.NY)[0]
+        threshold = (np.linalg.eigvals(T).real.min()
+                     + (2.0 - 2.0 * math.cos(math.pi / (grid.nx + 1))) / grid.hx**2)
+        return threshold, [lam for lam, _ in eigs_near(op, threshold - 0.05, 3)]
+
+    def test_attractive_bump_binds_one_real_state_at_simons_rate(self):
+        rates = []
+        for eps in (0.4, 0.2, 0.1):
+            threshold, lams = self.threshold_and_pairs(eps, -1.0)
+            below = [lam for lam in lams if lam.real < threshold]
+            assert len(below) == 1
+            assert abs(below[0].imag) <= 1e-12 * abs(below[0])
+            rates.append((threshold - below[0].real) / eps**2)
+        # rates = C + O(eps): eliminate the eps term, then the eps^2 term
+        r1 = [2.0 * rates[1] - rates[0], 2.0 * rates[2] - rates[1]]
+        limit = (4.0 * r1[1] - r1[0]) / 3.0
+        assert limit == pytest.approx(math.pi * self.ALPHA0**2, rel=0.02)
+
+    def test_repulsive_bump_binds_nothing(self):
+        threshold, lams = self.threshold_and_pairs(0.2, 1.0)
+        assert all(lam.real > threshold for lam in lams)
