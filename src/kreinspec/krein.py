@@ -512,13 +512,14 @@ def classify_point(T, J, lam: complex, tol: float = 1e-8,
     indefinite Gram matrix B* J B of an orthonormal root basis B: all
     eigenvalues above +tol gives positive type, all below -tol negative type,
     anything else (including a Jordan structure or a genuinely mixed cluster)
-    not definite.  Repeated queries on one matrix share one factorization.
+    not definite.  Repeated queries on one matrix share one factorization and,
+    for one ``cluster_gap`` and ``eigvals``, one partition into clusters.
     """
     return _classified_roots(T, J, tol=tol, cluster_gap=cluster_gap,
                              eigvals=eigvals, query=lam)[0][0]
 
 
-_factors: tuple | None = None  # (T copy, ||T||_2, R, Z) of the last matrix
+_factors: tuple | None = None  # (T copy, ||T||_2, R, Z, partition) of the last matrix
 
 
 def _factorization(T: np.ndarray) -> tuple:
@@ -528,8 +529,24 @@ def _factorization(T: np.ndarray) -> tuple:
     if _factors is None or not np.array_equal(_factors[0], T):
         R, Z = scipy.linalg.schur(T, output="complex")
         R.flags.writeable = Z.flags.writeable = False
-        _factors = (T.copy(), _norm2(T), R, Z)
-    return _factors[1:]
+        _factors = (T.copy(), _norm2(T), R, Z, None)
+    return _factors[1:4]
+
+
+def _partition(eigvals: np.ndarray, gap: float) -> tuple:
+    """(clusters, each eigenvalue's cluster label, each cluster's geometry) at
+    ``gap``, held with the factorization while gap and eigvals bytes repeat."""
+    global _factors
+    key = (gap, eigvals.dtype.str, eigvals.tobytes())
+    if _factors[4] is None or _factors[4][0] != key:
+        clusters = _cluster_eigenvalues(eigvals, gap)
+        label = np.empty(eigvals.size, dtype=int)
+        if clusters:  # an empty matrix has none
+            label[np.concatenate(clusters)] = np.repeat(
+                np.arange(len(clusters)), [c.size for c in clusters])
+        geometry = list(zip(*_cluster_geometry(eigvals, clusters)))
+        _factors = _factors[:4] + ((key, clusters, label, geometry),)
+    return _factors[4][1:]
 
 
 def _classified_roots(T, J, tol: float = 1e-8,
@@ -582,19 +599,15 @@ def _classified_roots(T, J, tol: float = 1e-8,
     # would change which Jordan pairs the default gap keeps whole
     if eigvals is None:
         eigvals = np.linalg.eigvals(T)
-    clusters = _cluster_eigenvalues(eigvals, cluster_gap)
-    if points is not None:
-        label = np.empty(len(eigvals), dtype=int)
-        label[np.concatenate(clusters)] = np.repeat(np.arange(len(clusters)),
-                                                    [c.size for c in clusters])
-        wanted = {int(label[d == d.min()].min())  # first cluster on a tie
-                  for d in (np.abs(eigvals - p) for p in points)}
-        clusters = [clusters[i] for i in sorted(wanted)]
+    clusters, label, geometry = _partition(eigvals, cluster_gap)
+    chosen = range(len(clusters)) if points is None else sorted(
+        {int(label[d == d.min()].min())  # first cluster on a tie
+         for d in (np.abs(eigvals - p) for p in points)})
 
     roots = []
-    for idx, *geometry in zip(clusters, *_cluster_geometry(eigvals, clusters)):
+    for i in chosen:
         try:
-            roots.append(_root_entry(R, Z, Jm, idx, *geometry, scale, tol))
+            roots.append(_root_entry(R, Z, Jm, clusters[i], *geometry[i], scale, tol))
         except (ContourError, NumericalError) as exc:
             if failures is None:
                 raise

@@ -21,6 +21,7 @@ root's cell stops at Newton; a root cluster's bisects to the isolation size.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 import warnings
@@ -197,6 +198,18 @@ def _boundary_residual(mode: TransversalMode, a: float, alpha0: float) -> float:
 # Finite-difference Robin discretization
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=8)
+def _robin_pattern(n: int) -> tuple:
+    """``robin_fd``'s column indices, row pointers and sparse J, read-only."""
+    idx = np.arange(n + 1, dtype=np.int32)
+    cols = (idx[:-1, None] + idx[:3] - 1).ravel()[1:-1]  # row i holds i-1, i, i+1
+    indptr = np.minimum(np.maximum(3 * idx - 1, 0), 3 * n - 2)  # 0, 2, 5, ..., 3n-2
+    J = scipy.sparse.csr_matrix((np.ones(n), n - 1 - idx[:-1], idx), shape=(n, n))
+    for arr in (cols, indptr, J.data, J.indices, J.indptr):
+        arr.flags.writeable = False
+    return cols, indptr, J
+
+
 def robin_fd(a: float, alpha: complex, n: int, sparse: bool = False):
     """Second-order discretization of the transversal operator, (T, J).
 
@@ -204,8 +217,9 @@ def robin_fd(a: float, alpha: complex, n: int, sparse: bool = False):
     half-weight endpoint scaling; the scaling is a similarity (it keeps
     every eigenvalue of the plain scheme) and makes the reversal symmetry
     exact: with J the index-reversing permutation, J T* J == T holds to
-    the last bit for any complex alpha.  Both are ``csr_matrix`` built from
-    their CSR arrays (T without an entry alpha zeroes), dense unless ``sparse``.
+    the last bit for any complex alpha.  Both are ``csr_matrix`` (T without
+    an entry alpha zeroes), dense unless ``sparse``; pattern and J are built
+    once per size, T owns its arrays and J shares read-only ones.
     """
     _require_positive(a=a)
     _require_counts(n=n)
@@ -223,15 +237,11 @@ def robin_fd(a: float, alpha: complex, n: int, sparse: bool = False):
     off[0] = off[-1] = -math.sqrt(2.0) / h**2
     data = np.empty((n, 3), dtype=complex)
     data[1:, 0], data[:, 1], data[:-1, 2] = off, main, off
-    idx = np.arange(n + 1, dtype=np.int32)
-    cols = idx[:-1, None] + idx[:3] - 1  # row i holds i-1, i, i+1
-    indptr = np.minimum(np.maximum(3 * idx - 1, 0), 3 * n - 2)  # 0, 2, 5, ..., 3n-2
-    T = scipy.sparse.csr_matrix(
-        (data.ravel()[1:-1], cols.ravel()[1:-1], indptr), shape=(n, n))
+    cols, indptr, J = _robin_pattern(int(n))
+    T = scipy.sparse.csr_matrix((data.ravel()[1:-1], cols.copy(), indptr.copy()), shape=(n, n))
     if main[0] == 0:  # the coupling cancels both endpoints (conjugates)
         T.eliminate_zeros()
-    J = scipy.sparse.csr_matrix((np.ones(n), n - 1 - idx[:-1], idx), shape=(n, n))
-    return (T, J) if sparse else (T.toarray(), J.toarray())
+    return (T, scipy.sparse.csr_matrix(J)) if sparse else (T.toarray(), J.toarray())
 
 
 # ---------------------------------------------------------------------------

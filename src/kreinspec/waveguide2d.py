@@ -125,9 +125,9 @@ def assemble_waveguide(grid: GridSpec, alpha: Callable[[float], complex],
 
     Row (i, r) of H fills five slots: x neighbour (i-1, r), the stencil
     (i, r-1..r+1) of column i's sparse ``robin_fd`` T_i with (2/hx^2 +
-    T_i[r, r]) + V[i, r] in the middle, and x neighbour (i+1, r). scipy's
-    in-place ``eliminate_zeros`` drops the padding and exact-zero sums and
-    ``sort_indices`` orders a periodic grid's wrapped corners, so H equals
+    T_i[r, r]) + V[i, r] in the middle, and x neighbour (i+1, r), in column
+    order (a periodic grid's wrapped ones moved). scipy's in-place
+    ``eliminate_zeros`` drops the padding and exact-zero sums, so H equals
     (kron(Dx, I) + blockdiag(T_i)) + diags(V) bit for bit. J is built and
     checked as an involution on its index arrays.
     """
@@ -136,7 +136,8 @@ def assemble_waveguide(grid: GridSpec, alpha: Callable[[float], complex],
 
     def sample(name, f, *axes):
         try:
-            s = np.array([complex(f(*pt)) for pt in product(*axes)])
+            s = np.fromiter((complex(f(*pt)) for pt in product(*axes)), complex,
+                            count=math.prod(map(len, axes)))
         except ArithmeticError:
             s = None
         if s is None or not np.all(np.isfinite(s.view(float))):
@@ -162,10 +163,12 @@ def assemble_waveguide(grid: GridSpec, alpha: Callable[[float], complex],
     vals[..., 2] = (vals[..., 2] + 2.0 / grid.hx**2) + V_samples
     # T_i's off-diagonals do not depend on alpha: the last T_i's serve all
     vals[:, 1:, 1], vals[:, :-1, 3] = T.diagonal(-1), T.diagonal(1)
+    if XBoundary(grid.x_boundary) is XBoundary.PERIODIC:  # rows in column order:
+        for arr in (vals, cols):  # block 0's wrapped neighbour last, nx-1's first
+            arr[0], arr[-1] = np.roll(arr[0], -1, axis=-1), np.roll(arr[-1], 1, axis=-1)
     indptr = np.arange(0, 5 * n + 1, 5, dtype=np.int32)
     H = scipy.sparse.csr_matrix((vals.ravel(), cols.ravel(), indptr), shape=(n, n))
     H.eliminate_zeros()
-    H.sort_indices()
 
     # a 0/1 permutation is symmetric iff it is an involution: exact, default tol
     flip = node[:, ::-1].ravel()
@@ -182,14 +185,18 @@ def assemble_waveguide(grid: GridSpec, alpha: Callable[[float], complex],
 # ---------------------------------------------------------------------------
 
 def _operator_scale(H) -> float:
-    """sqrt(||H||_1 ||H||_inf) from |H.data|, H in CSR, sharing its index arrays."""
+    """sqrt(||H||_1 ||H||_inf) from |H.data|, H in CSR, a chunk of rows at a
+    time: scipy's column sums (in storage order) and row sums, bit for bit."""
+    one, inf = np.zeros(H.shape[1]), 0.0
     # an overflowing stencil reads inf or NaN here; the residual gates reject it
     with np.errstate(over="ignore", invalid="ignore"):
-        absH = scipy.sparse.csr_matrix((np.abs(H.data), H.indices, H.indptr),
-                                       shape=H.shape)
-        one = absH.sum(axis=0).max()
-        inf = absH.sum(axis=1).max()
-    return float(math.sqrt(float(one) * float(inf)))
+        for r0 in range(0, H.shape[0], _CHUNK // 5):
+            ptr = H.indptr[r0:r0 + _CHUNK // 5 + 1]
+            h = np.abs(H.data[ptr[0]:ptr[-1]])
+            np.add.at(one, H.indices[ptr[0]:ptr[-1]], h)
+            stored = np.flatnonzero(np.diff(ptr))  # an empty row sums to 0
+            inf = np.max(np.add.reduceat(h, ptr[stored] - ptr[0]), initial=inf)
+    return float(math.sqrt(float(one.max()) * float(inf)))
 
 
 def _kronecker_factors(op: WaveguideOperator):

@@ -679,6 +679,8 @@ class TestClusterEigenvalues:
         else:
             T, J = kron_sum(*_campaign_instance(np.random.default_rng(4), "big"))
         got = classify_spectrum(T, J)
+        # a fresh slot: the held partition would answer without clustering
+        monkeypatch.setattr(krein, "_factors", None)
         monkeypatch.setattr(krein, "_cluster_eigenvalues", dense_clusters)
         want = classify_spectrum(T, J)
         assert len(got) == len(want) == T.shape[0]
@@ -837,6 +839,90 @@ class TestFactorizationMemo:
             plain = classify_point(T, J, lam)
             assert same_entry(plain, classify_point(T, J, lam,
                                                     eigvals=np.linalg.eigvals(T)))
+
+    @staticmethod
+    def same_bits(a, b):
+        """(entry, basis) pairs equal to the last bit: lam, gram_eigs and
+        the basis by their bytes, s and sep by ``float.hex``."""
+        (ea, Ba), (eb, Bb) = a, b
+        return (np.array(ea.lam).tobytes() == np.array(eb.lam).tobytes()
+                and (ea.alg_mult, ea.geo_mult, ea.type)
+                == (eb.alg_mult, eb.geo_mult, eb.type)
+                and ea.gram_eigs.tobytes() == eb.gram_eigs.tobytes()
+                and ea.s.hex() == eb.s.hex() and ea.sep.hex() == eb.sep.hex()
+                and Ba.tobytes() == Bb.tobytes())
+
+    @staticmethod
+    def spy_partitions(monkeypatch):
+        calls, cluster = [], krein._cluster_eigenvalues
+
+        def counted(*args):
+            calls.append(args)
+            return cluster(*args)
+
+        monkeypatch.setattr(krein, "_cluster_eigenvalues", counted)
+        return calls
+
+    def test_repeated_queries_partition_once(self, monkeypatch):
+        T, J, eigvals, lams = self.robin_points(1.7)
+        monkeypatch.setattr(krein, "_factors", None)
+        calls = self.spy_partitions(monkeypatch)
+        got = [_classified_roots(T, J, eigvals=eigvals, query=lam)[0]
+               for lam in lams[:20]]
+        assert len(calls) == 1
+        # the same values in another array are the same key
+        _classified_roots(T, J, eigvals=eigvals.copy(), query=lams[0])
+        assert len(calls) == 1
+        for lam, root in zip(lams, got):
+            monkeypatch.setattr(krein, "_factors", None)
+            fresh = _classified_roots(T, J, eigvals=eigvals, query=lam)[0]
+            assert self.same_bits(root, fresh)
+        assert len(calls) == 21
+
+    def test_each_change_partitions_once(self, monkeypatch):
+        T1, J, ev1, lams1 = self.robin_points(0.5)
+        T2, _, ev2, lams2 = self.robin_points(3.3)
+        monkeypatch.setattr(krein, "_factors", None)
+        calls = self.spy_partitions(monkeypatch)
+
+        def count(*queries):
+            """Partitions made by the queries (T, lam, keyword arguments)."""
+            before = len(calls)
+            for T, lam, kw in queries:
+                classify_point(T, J, lam, **kw)
+            return len(calls) - before
+
+        # alternating matrices: each switch drops the held partition
+        pairs = zip(lams1[:3], lams2[:3])
+        assert count(*[(T, lam, {"eigvals": ev}) for a, b in pairs
+                       for T, lam, ev in ((T1, a, ev1), (T2, b, ev2))]) == 6
+        # another eigvals array: the same values in another order
+        ev_rev = ev2[::-1].copy()
+        assert count((T2, lams2[2], {"eigvals": ev_rev}),
+                     (T2, lams2[3], {"eigvals": ev_rev})) == 1
+        # another cluster_gap, then the same one again
+        assert count((T2, lams2[0], {"eigvals": ev_rev, "cluster_gap": 1e-6}),
+                     (T2, lams2[1], {"eigvals": ev_rev, "cluster_gap": 1e-6})) == 1
+        # T mutated in place
+        T = T1.copy()
+        assert count((T, lams1[0], {"eigvals": ev1}),
+                     (T, lams1[1], {"eigvals": ev1})) == 1
+        T[...] = T2
+        assert count((T, lams2[4], {"eigvals": ev2}),
+                     (T, lams2[5], {"eigvals": ev2})) == 1
+        for lam, ev, kw in ((lams2[0], ev_rev, {"cluster_gap": 1e-6}),
+                            (lams2[2], ev_rev, {})):
+            got = _classified_roots(T2, J, eigvals=ev, query=lam, **kw)[0]
+            monkeypatch.setattr(krein, "_factors", None)
+            want = _classified_roots(T2, J, eigvals=ev, query=lam, **kw)[0]
+            assert self.same_bits(got, want)
+
+    def test_empty_matrix_classifies_to_nothing(self, monkeypatch):
+        monkeypatch.setattr(krein, "_factors", None)
+        empty = np.zeros((0, 0))
+        for _ in range(2):
+            assert len(classify_spectrum(empty, empty)) == 0
+            assert _classified_roots(empty, empty, points=[]) == []
 
 
 class TestThetaOperator:

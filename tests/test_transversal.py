@@ -269,8 +269,9 @@ class TestRobinFd:
     @staticmethod
     def cases(a=1.0):
         # a = 1 and n = 3, 5, 33 give steps h = 2^-k, where alpha = -1/h
-        # cancels both endpoint entries exactly; -1/h + 0.3j cancels neither
-        for n in (3, 5, 25, 33, 48, 800):
+        # cancels both endpoint entries exactly; -1/h + 0.3j cancels neither.
+        # Sizes come back after others, so held patterns are reused
+        for n in (3, 5, 25, 33, 48, 800, 5, 48, 3):
             h = 2.0 * a / (n - 1)
             for alpha in (0.0, 0.3 + 0.7j, -0.05 + 1j, -1 / h, -1 / h + 0.3j):
                 yield n, alpha
@@ -304,6 +305,41 @@ class TestRobinFd:
                     g, w = getattr(got, field), getattr(want, field)
                     assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
         assert robin_fd(1.0, -16.0, 33, sparse=True)[0].nnz == 3 * 33 - 4
+
+    def test_shared_flip_cannot_be_changed(self):
+        n = 9
+        J = robin_fd(1.0, 1j, n, sparse=True)[1]
+        for field in ("data", "indices", "indptr"):
+            assert not getattr(J, field).flags.writeable
+        for write in (lambda: J.data.__setitem__(0, 2.0),
+                      lambda: J.indices.__setitem__(0, 0),
+                      lambda: J.__setitem__((0, n - 1), 2.0),
+                      lambda: J.__imul__(2.0)):
+            with pytest.raises(ValueError):
+                write()
+        # a change of structure replaces this result's arrays only
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", sp.SparseEfficiencyWarning)
+            J.setdiag(3.0)
+        J.resize((n + 1, n + 1))
+        assert J.nnz == 2 * n - 1 and J.shape == (n + 1, n + 1)
+        for got in (robin_fd(1.0, 1j, n, sparse=True)[1], robin_fd(1.0, 1j, n)[1]):
+            assert got.shape == (n, n)
+            assert np.array_equal(sp.csr_matrix(got).toarray(), np.eye(n)[::-1])
+
+    def test_stencil_arrays_belong_to_the_call(self):
+        n = 33
+        for alpha in (0.3j, -16.0):  # -16 = -1/h cancels both endpoints
+            T1, _ = robin_fd(1.0, alpha, n, sparse=True)
+            T2, _ = robin_fd(1.0, alpha, n, sparse=True)
+            for field in ("data", "indices", "indptr"):
+                x, y = getattr(T1, field), getattr(T2, field)
+                assert x.flags.writeable and not np.shares_memory(x, y)
+            T1.data[:] = 0.0
+            T1.indices[:] = 0
+            assert robin_fd(1.0, alpha, n, sparse=True)[0].toarray().tobytes() \
+                == T2.toarray().tobytes()
+        assert T2.nnz == 3 * n - 4
 
     def test_second_order_convergence_to_closed_form(self):
         exact = [m.lam for m in transversal_modes(A_HALF, 0.5, 3)]

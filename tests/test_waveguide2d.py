@@ -350,13 +350,35 @@ class TestEigsNear:
     @pytest.mark.parametrize("alpha", [lambda x: 0.5j,
                                        lambda x: 1j * (0.5 + 0.1 * math.cos(x))])
     @pytest.mark.parametrize("boundary", list(XBoundary))
-    def test_operator_scale_matches_csc_sums(self, alpha, boundary):
-        g = GridSpec(a=A_HALF, Lx=5.0, nx=30, ny=13, x_boundary=boundary)
+    @pytest.mark.parametrize("nx, ny", [(30, 13), (640, 48)])  # 1 and 10 row chunks
+    def test_operator_scale_matches_csc_sums(self, alpha, boundary, nx, ny):
+        g = GridSpec(a=A_HALF, Lx=5.0, nx=nx, ny=ny, x_boundary=boundary)
         op = assemble_waveguide(g, alpha, lambda x, y: x * x + 1j * math.sin(y))
         absH = abs(op.H.tocsc())
         want = math.sqrt(float(absH.sum(axis=0).max())
                          * float(absH.sum(axis=1).max()))
         assert waveguide2d._operator_scale(op.H) == want
+
+    def test_operator_scale_matches_csr_sums_with_empty_rows(self):
+        # scipy's sums of |H| as a CSR matrix, over several row chunks, with
+        # empty rows (they sum to 0) and an overflowing entry
+        rng = np.random.default_rng(5)
+        n = 3 * (waveguide2d._CHUNK // 5) + 7
+        A = sp.random(n, n, density=5.0 / n, format="csr", random_state=rng)
+        A.data = A.data * np.exp(2j * math.pi * rng.random(A.nnz))
+        keep = rng.random(n) < 0.9
+        keep[:20] = keep[-20:] = False
+        H = (sp.diags(keep.astype(float)) @ A).tocsr()
+        H.eliminate_zeros()
+        assert np.diff(H.indptr).min() == 0
+        for big in (1.0, 1e308):
+            H.data[H.nnz // 2] = big * (1 + 1j)
+            with np.errstate(over="ignore"):
+                absH = sp.csr_matrix((np.abs(H.data), H.indices, H.indptr),
+                                     shape=H.shape)
+                want = math.sqrt(float(absH.sum(axis=0).max())
+                                 * float(absH.sum(axis=1).max()))
+            assert waveguide2d._operator_scale(H).hex() == want.hex()
 
     def test_validation(self):
         op = free_operator(nx=8, ny=8)
@@ -596,8 +618,9 @@ class TestMemory:
         assert peaks["eigs_near"] <= 1.5 * h_bytes
         assert peaks["kronecker"] <= 1.0 * h_bytes
 
-    def test_periodic_assembly_sorts_in_place(self):
-        # the wrapped corners leave block 0's and block nx-1's rows unsorted
+    def test_periodic_assembly_is_canonical_without_a_sort(self):
+        # block 0's and block nx-1's rows put their wrapped corners in column
+        # order; has_canonical_format scans the rows, as no sort set its flag
         tracemalloc.start()
         try:
             op = self.assemble(XBoundary.PERIODIC)
