@@ -5,9 +5,10 @@ inner product into the indefinite product [f, g] = (Jf, g).  A matrix T
 with T = J T* J is J-self-adjoint; each of its eigenvalue clusters is
 classified as positive type, negative type, or not definite by the sign
 pattern of the indefinite Gram matrix on the root subspace, read from one
-complex Schur form per matrix.  One vectorised pass per call measures the
-clusters' centres and distances; each cluster then costs a fixed sequence:
-a LAPACK ztrsen reorder, ztrsen's ``s`` and ``sep`` as its certificate (at
+complex Schur form per matrix (a centro-Hermitian one's from a real Schur
+form, Lee 1980).  One vectorised pass per call measures the clusters'
+centres and distances; each cluster then costs a fixed sequence: a LAPACK
+ztrsen reorder, ztrsen's ``s`` and ``sep`` as its certificate (at
 most twelve Sylvester-map applications of one triangular solve (ztrtrs) per
 block row, not ztrsen's Sylvester solver), and the Gram matrix's
 eigenvalues.  A single root reads its 1-by-1 Gram eigenvalue as the real
@@ -519,34 +520,49 @@ def classify_point(T, J, lam: complex, tol: float = 1e-8,
                              eigvals=eigvals, query=lam)[0][0]
 
 
-_factors: tuple | None = None  # (T copy, ||T||_2, R, Z, partition) of the last matrix
+# [T copy, ||T||_2, R, Z, eigenvalues, partition] of the last matrix
+_factors: list | None = None
 
 
-def _factorization(T: np.ndarray) -> tuple:
+def _factorization(T: np.ndarray) -> list:
     """(||T||_2, R, Z) of T = Z R Z*, read-only; the last matrix's are held
-    and reused while equal matrices follow (compared by value, not id)."""
+    and reused while equal matrices follow (compared by value, not id).
+
+    A centro-Hermitian T (conj(T) == E T E exactly, E the exchange matrix:
+    every ``robin_fd`` matrix) is U M U* with M = Re T - Im(T) E real and U =
+    (I + iE)/sqrt(2) (Lee, LAA 29, 1980): M's real Schur form S = Q* M Q,
+    put through rsf2csf where it has 2-by-2 blocks, gives R = S and Z = U Q at
+    a third of the cost of zgees, which factors every other matrix.
+    """
     global _factors
     if _factors is None or not np.array_equal(_factors[0], T):
-        R, Z = scipy.linalg.schur(T, output="complex")
+        d = T.diagonal()  # an O(n) screen first; order 1 keeps zgees's Z = 1
+        if (d.size > 1 and np.array_equal(d.conj(), d[::-1])
+                and np.array_equal(T.conj(), T[::-1, ::-1])):
+            R, Q = scipy.linalg.schur(T.real - T.imag[:, ::-1], output="real")
+            if R.diagonal(-1).any():  # 2-by-2 blocks of conjugate pairs
+                R, Q = scipy.linalg.rsf2csf(R, Q)
+            R, Z = R.astype(complex, copy=False), (Q + 1j * Q[::-1]) / math.sqrt(2.0)
+        else:
+            R, Z = scipy.linalg.schur(T, output="complex")
         R.flags.writeable = Z.flags.writeable = False
-        _factors = (T.copy(), _norm2(T), R, Z, None)
+        _factors = [T.copy(), _norm2(T), R, Z, None, None]
     return _factors[1:4]
 
 
 def _partition(eigvals: np.ndarray, gap: float) -> tuple:
     """(clusters, each eigenvalue's cluster label, each cluster's geometry) at
     ``gap``, held with the factorization while gap and eigvals bytes repeat."""
-    global _factors
     key = (gap, eigvals.dtype.str, eigvals.tobytes())
-    if _factors[4] is None or _factors[4][0] != key:
+    if _factors[5] is None or _factors[5][0] != key:
         clusters = _cluster_eigenvalues(eigvals, gap)
         label = np.empty(eigvals.size, dtype=int)
         if clusters:  # an empty matrix has none
             label[np.concatenate(clusters)] = np.repeat(
                 np.arange(len(clusters)), [c.size for c in clusters])
         geometry = list(zip(*_cluster_geometry(eigvals, clusters)))
-        _factors = _factors[:4] + ((key, clusters, label, geometry),)
-    return _factors[4][1:]
+        _factors[5] = (key, clusters, label, geometry)
+    return _factors[5][1:]
 
 
 def _classified_roots(T, J, tol: float = 1e-8,
@@ -597,8 +613,10 @@ def _classified_roots(T, J, tol: float = 1e-8,
     # clusters come from np.linalg.eigvals, as they always have: the Schur
     # diagonal splits a defective eigenvalue by another rounding amount and
     # would change which Jordan pairs the default gap keeps whole
-    if eigvals is None:
-        eigvals = np.linalg.eigvals(T)
+    if eigvals is None:  # held with the factorization
+        if _factors[4] is None:
+            _factors[4] = np.linalg.eigvals(T)
+        eigvals = _factors[4]
     clusters, label, geometry = _partition(eigvals, cluster_gap)
     chosen = range(len(clusters)) if points is None else sorted(
         {int(label[d == d.min()].min())  # first cluster on a tie

@@ -296,6 +296,26 @@ def _make_secular(a: float, alpha0: float, beta0: float):
     return _finite(f), _finite(fp)
 
 
+_ROUNDING_C = 4.0  # Newton's gate is |F| <= max(tol, C phi); C ~ the roundings per term of F
+
+
+def _rounding_floor(a: float, alpha0: float, beta0: float):
+    """k -> C phi(k), phi(k) = eps [(|k|^2 + c0)(|sin 2ak| + |2ak| |cos 2ak|)
+    + 2 |beta0 k| (|cos 2ak| + |2ak| |sin 2ak|)], c0 = alpha0^2 + beta0^2, a
+    running bound on F's rounding error at k (Higham 2002, ch. 5); 0 where
+    it overflows.  Below it |F| no longer measures the distance to a root."""
+    c0 = alpha0 * alpha0 + beta0 * beta0
+
+    def floor(k):
+        r, t, s, c = (abs(x) for x in (k, 2.0 * a * k, cmath.sin(2.0 * a * k),
+                                       cmath.cos(2.0 * a * k)))
+        bound = _ROUNDING_C * sys.float_info.epsilon * (
+            (r * r + c0) * (s + t * c) + 2.0 * abs(beta0) * r * (c + t * s))
+        return bound if math.isfinite(bound) else 0.0
+
+    return floor
+
+
 def secular_value(k, a: float, alpha0: float, beta0: float):
     """F(k) = (k^2 - alpha0^2 - beta0^2) sin(2ka) - 2 beta0 k cos(2ka)."""
     return _elementwise(0, k, a, alpha0, beta0)
@@ -386,13 +406,15 @@ def _certified_winding(f, rect, phase_rate: float):
                 raise
 
 
-def _newton_refine(f, fp, k0: complex, mult: int, tol: float) -> complex:
+def _newton_refine(f, fp, k0: complex, mult: int, tol: float,
+                   floor=lambda k: 0.0) -> complex:
+    """Newton from k0 until |F(k)| <= max(tol, floor(k)); a simple root then polishes."""
     k = complex(k0)
     for _ in range(80):
         v = f(k)
-        if abs(v) <= tol:
+        if abs(v) <= max(tol, floor(k)):
             if mult == 1 and (d := fp(k)) != 0:
-                # one step past tol: a simple root then converges to the last bit
+                # one step past the gate: a simple root then converges to the last bit
                 polished = k - v / d
                 if abs(f(polished)) <= abs(v):
                     return polished
@@ -405,13 +427,13 @@ def _newton_refine(f, fp, k0: complex, mult: int, tol: float) -> complex:
         if abs(step) < 1e-16 * max(1.0, abs(k)):
             break
     v = f(k)
-    if abs(v) <= tol:
+    if abs(v) <= max(tol, floor(k)):
         return k
     raise RootCertificationError(
         f"Newton refinement stalled at {k:.8g} with |F| = {abs(v):.2e}")
 
 
-def _subdivide(f, fp, rect, w, tol, iso, phase_rate):
+def _subdivide(f, fp, rect, w, tol, iso, phase_rate, floor):
     """Recursive winding-certified isolation; returns roots with multiplicity."""
     if w == 0:
         return []
@@ -420,14 +442,14 @@ def _subdivide(f, fp, rect, w, tol, iso, phase_rate):
     if w == 1:  # one root: Newton from the centre, certified by a small box
         h = iso / (2.0 * math.sqrt(2.0))
         with suppress(RootCertificationError):  # Newton or box failed
-            k = _newton_refine(f, fp, center, 1, tol)
+            k = _newton_refine(f, fp, center, 1, tol, floor=floor)
             box = (max(re0, k.real - h), min(re1, k.real + h),
                    max(im0, k.imag - h), min(im1, k.imag + h))
             if (re0 < k.real < re1 and im0 < k.imag < im1
                     and _winding_number(f, box, phase_rate) == 1):
                 return [k]
     if math.hypot(re1 - re0, im1 - im0) <= iso:
-        root = _newton_refine(f, fp, center, w, tol)
+        root = _newton_refine(f, fp, center, w, tol, floor=floor)
         return [root] * w
 
     horizontal = (re1 - re0) >= (im1 - im0)
@@ -445,15 +467,15 @@ def _subdivide(f, fp, rect, w, tol, iso, phase_rate):
             continue
         if w1 + w2 != w:
             continue
-        roots = (_subdivide(f, fp, r1, w1, tol, iso, phase_rate)
-                 + _subdivide(f, fp, r2, w2, tol, iso, phase_rate))
+        roots = (_subdivide(f, fp, r1, w1, tol, iso, phase_rate, floor)
+                 + _subdivide(f, fp, r2, w2, tol, iso, phase_rate, floor))
         if w1 == w2 == 1 and abs(roots[0] - roots[1]) <= iso:
             # a double root split by rounding across the cut winds twice
             k = 0.5 * (roots[0] + roots[1])
             box = (k.real - iso, k.real + iso, k.imag - iso, k.imag + iso)
             with suppress(RootCertificationError):
                 if _winding_number(f, box, phase_rate) == 2:
-                    return [_newton_refine(f, fp, k, 2, tol)] * 2
+                    return [_newton_refine(f, fp, k, 2, tol, floor=floor)] * 2
         return roots
     raise RootCertificationError(
         f"could not split cell {rect} without losing certification")
@@ -469,7 +491,8 @@ def secular_roots(a: float, alpha0: float, beta0: float,
     box of diagonal iso (1e-5 of the region's) around it winds once, and two
     such points within iso across a cut are one double root if a box around
     both winds twice.  Other cells bisect to diagonal iso, where Newton with
-    the multiplicity polishes each root to |F| <= tol.  The rectangle must
+    the multiplicity polishes each root to |F| <= tol, or to F's rounding
+    bound where that is larger (``_rounding_floor``).  The rectangle must
     exclude k = 0, a trivial zero of F (the k <-> -k symmetry artifact), and keep
     the bound on |F| of _require_bounded_secular finite once grown by the retries.
     """
@@ -488,7 +511,8 @@ def secular_roots(a: float, alpha0: float, beta0: float,
     phase_rate = 2.0 * a
     w = _certified_winding(f, rect, phase_rate)
     iso = max(1e-7, 1e-5 * math.hypot(re1 - re0, im1 - im0))
-    roots = _subdivide(f, fp, rect, w, tol, iso, phase_rate)
+    roots = _subdivide(f, fp, rect, w, tol, iso, phase_rate,
+                       _rounding_floor(a, alpha0, beta0))
     roots.sort(key=lambda z: (round(z.real, 12), round(z.imag, 12)))
     if len(roots) != w:
         raise RootCertificationError(
@@ -539,14 +563,16 @@ def branch_curves(a: float, alpha0: float, beta0_samples: Sequence[float],
                    for i, x in enumerate(ks) for y in ks[i + 1:])
 
     f0, fp0 = _make_secular(a, alpha0, samples[0])
-    current = [_newton_refine(f0, fp0, s, 1, tol) for s in seeds]
+    floor0 = _rounding_floor(a, alpha0, samples[0])
+    current = [_newton_refine(f0, fp0, s, 1, tol, floor=floor0) for s in seeds]
     if collide(current):
         raise ValidationError("seed roots are not distinct branches")
 
     def advance(b_from, b_to, ks, depth):
         f, fp = _make_secular(a, alpha0, b_to)
+        floor = _rounding_floor(a, alpha0, b_to)
         with suppress(RootCertificationError):  # Newton failed: bisect
-            new = [_newton_refine(f, fp, k, 1, tol) for k in ks]
+            new = [_newton_refine(f, fp, k, 1, tol, floor=floor) for k in ks]
             if not collide(new):
                 return new
         if depth >= _MAX_BISECTIONS:

@@ -373,6 +373,14 @@ class TestConfigFile:
         code, _ = run_cli(["transversal", "--config", str(cfg)], tmp_path)
         assert code == 2
 
+    @pytest.mark.parametrize("text", ["[1, 2]", "3", '"x"', "null"])
+    def test_non_object_config_rejected(self, tmp_path, capsys, text):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(text)
+        code, out = run_cli(["transversal", "--config", str(cfg)], tmp_path)
+        assert code == 2 and not out.exists()
+        assert "config must be a JSON object" in capsys.readouterr().err
+
     def test_missing_config_rejected(self, tmp_path):
         code, _ = run_cli(
             ["transversal", "--config", str(tmp_path / "absent.json")],

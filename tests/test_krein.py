@@ -924,6 +924,128 @@ class TestFactorizationMemo:
             assert len(classify_spectrum(empty, empty)) == 0
             assert _classified_roots(empty, empty, points=[]) == []
 
+    def test_alternating_centro_hermitian_and_general_matrices(self, monkeypatch):
+        # the Robin matrix takes the real Schur route; its one-ulp near miss
+        # and a campaign matrix take zgees
+        T, J, eigvals, lams = self.robin_points(1.7)
+        near = T.copy()
+        near[0, 1] = np.nextafter(near[0, 1].real, 0.0) + 1j * near[0, 1].imag
+        S, JS = kron_sum(*_campaign_instance(np.random.default_rng(3), "big"))
+        ev_S = np.linalg.eigvals(S)
+        cases = [(T, J, eigvals, lams[:3]), (near, J, np.linalg.eigvals(near), lams[:3]),
+                 (S, JS, ev_S, ev_S[:3])]
+        queries = [(M, JM, ev, points[i]) for i in range(3)
+                   for M, JM, ev, points in cases]
+        got = [_classified_roots(M, JM, eigvals=ev, query=lam)[0]
+               for M, JM, ev, lam in queries]
+        for root, (M, JM, ev, lam) in zip(got, queries):
+            monkeypatch.setattr(krein, "_factors", None)
+            assert self.same_bits(root, _classified_roots(M, JM, eigvals=ev,
+                                                          query=lam)[0])
+
+    def test_held_eigenvalues_are_computed_once(self, monkeypatch):
+        T, J, _, lams = self.robin_points(1.7)
+        calls, eigvals = [], np.linalg.eigvals
+
+        def counted(A):
+            calls.append(A)
+            return eigvals(A)
+
+        monkeypatch.setattr(krein, "_factors", None)
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        got = [_classified_roots(T, J, query=lam)[0] for lam in lams[:20]]
+        assert len(calls) == 1
+        assert krein._factors[4].tobytes() == eigvals(T).tobytes()
+        for lam, root in zip(lams, got):
+            monkeypatch.setattr(krein, "_factors", None)
+            assert self.same_bits(root, _classified_roots(T, J, query=lam)[0])
+        assert len(calls) == 21
+
+
+class TestRealSchurRoute:
+    """A centro-Hermitian T (every robin_fd matrix) is factored through the
+    real Schur form of Re T - Im(T) E; the classification must be the one
+    zgees's complex Schur form gives.  The spectra, and so the clusters and
+    centres, are np.linalg.eigvals's on both routes; s and the Gram
+    eigenvalues are basis-free up to rounding, sep is a zlacn2 estimate on
+    another basis."""
+
+    S_REL = 1e-7  # measured 1.3e-8 over the sweep
+    GRAM_ABS = 1e-9  # measured 1.2e-10; |gram_eigs| <= ||J|| = 1
+    SEP_FACTOR = 10.0  # measured 3.0
+
+    @staticmethod
+    def classify(monkeypatch, T, J, forced):
+        monkeypatch.setattr(krein, "_factors", None)
+        if forced:  # hold zgees's Schur form of T, so the engine reads it
+            R, Z = scipy.linalg.schur(T, output="complex")
+            R.flags.writeable = Z.flags.writeable = False
+            krein._factors = [T.copy(), _norm2(T), R, Z, None, None]
+        failures = []
+        entries = [e for e, _ in _classified_roots(T, J, failures=failures)]
+        # the message up to its first colon names the failing cluster
+        return entries, [(type(x), str(x).split(":")[0]) for x in failures]
+
+    @pytest.mark.parametrize("a", [A_STRIP, 1.0])
+    def test_sweep_matches_complex_route(self, monkeypatch, a):
+        converted, rsf2csf = [], scipy.linalg.rsf2csf
+
+        def counted(*args, **kwargs):
+            converted.append(args[0].shape[0])
+            return rsf2csf(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "rsf2csf", counted)
+        worst_sep = 1.0
+        # 2i and 3i are exceptional at a = pi/2
+        for alpha in (0.5j, 1j, 2j, 3j, 1.7j, -0.05 + 1j, 0.3 + 0.7j, -1 + 2j):
+            for n in (21, 41, 121):
+                T, J = robin_fd(a, alpha, n)
+                got, got_failed = self.classify(monkeypatch, T, J, False)
+                want, want_failed = self.classify(monkeypatch, T, J, True)
+                assert got_failed == want_failed
+                assert len(got) == len(want) > 0
+                for g, w in zip(got, want):
+                    assert (g.type, g.alg_mult, g.geo_mult) == (w.type, w.alg_mult, w.geo_mult)
+                    assert abs(g.lam - w.lam) <= 1e-9 * max(1.0, abs(w.lam))
+                    assert abs(g.s - w.s) <= self.S_REL * w.s
+                    assert np.abs(g.gram_eigs - w.gram_eigs).max() <= self.GRAM_ABS
+                    worst_sep = max(worst_sep, g.sep / w.sep, w.sep / g.sep)
+        assert converted  # some spectra have conjugate pairs: 2-by-2 blocks
+        assert worst_sep <= self.SEP_FACTOR
+        print(f"a = {a:.6g}: sep ratio at most {worst_sep:.3g}, "
+              f"{len(converted)} rsf2csf conversions")
+
+    def test_factorization_reproduces_t(self, monkeypatch):
+        # backward error 1.7e-14 ||T||, zgees's 1.9e-14 ||T||
+        for alpha in (1.7j, -1 + 2j):  # real spectrum; conjugate pairs
+            T = robin_fd(A_STRIP, alpha, 121)[0]
+            monkeypatch.setattr(krein, "_factors", None)
+            scale, R, Z = _factorization(T)
+            assert np.linalg.norm(Z @ R @ Z.conj().T - T, 2) <= 1e-13 * scale
+            assert np.linalg.norm(Z.conj().T @ Z - np.eye(121), 2) <= 1e-13
+            assert not np.tril(R, -1).any()
+
+    def test_route_is_chosen_by_exact_symmetry(self, monkeypatch):
+        outputs, schur = [], scipy.linalg.schur
+
+        def spied(*args, **kwargs):
+            outputs.append(kwargs["output"])
+            return schur(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "schur", spied)
+        T = robin_fd(A_STRIP, 1.7j, 41)[0]
+        off, diag = T.copy(), T.copy()  # one ulp off the symmetry
+        off[0, 1] = np.nextafter(off[0, 1].real, 0.0)
+        diag[0, 0] = np.nextafter(diag[0, 0].real, 0.0) + 1j * diag[0, 0].imag
+        S = kron_sum(*_campaign_instance(np.random.default_rng(3), "big"))[0]
+        for M, route in ((T, "real"), (off, "complex"), (diag, "complex"),
+                         (S, "complex"), (np.ones((1, 1)), "complex"),
+                         (np.zeros((0, 0)), "complex")):
+            monkeypatch.setattr(krein, "_factors", None)
+            _factorization(np.asarray(M, dtype=complex))
+            _factorization(np.asarray(M, dtype=complex))  # a memo hit
+            assert outputs.pop() == route and not outputs
+
 
 class TestThetaOperator:
     def test_frozen_two_projection_example(self):

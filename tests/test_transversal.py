@@ -39,7 +39,7 @@ from kreinspec.transversal import (
 )
 from kreinspec import transversal
 from kreinspec.transversal import (_bisect, _make_secular, _newton_refine,
-                                   _winding_number)
+                                   _rounding_floor, _winding_number)
 
 A_HALF = math.pi / 2
 
@@ -652,6 +652,44 @@ class TestCertifiedSimpleCells:
         monkeypatch.setattr(transversal, "_make_secular", counted)
         assert len(secular_roots(*self.CRITERION_8)) == 2
         assert 0 < len(calls) <= 1000  # bisecting to iso took 10,454
+
+
+class TestRoundingGate:
+    """Newton stops at |F| <= max(tol, C phi(k)), phi a running bound on F's
+    rounding error: where that bound passes tol, an absolute gate stalls on
+    roots the winding boxes have already isolated."""
+
+    DEFAULT = (0.7, 1.3, -0.4, 0.4)
+
+    @pytest.mark.parametrize("alpha0, beta0, region, tol", [
+        (1e3, -0.05, DEFAULT, 1e-12),  # |F| = 1.9e-10 at the root
+        (1.0, 700.0, DEFAULT, 1e-12),
+        (1.0, -0.05, DEFAULT, 1e-300),
+        (1.0, -0.05, (0.7, 700.0, -0.4, 0.4), 1e-12),  # 701 roots
+    ])
+    def test_roots_above_an_absolute_tol_are_certified(self, alpha0, beta0,
+                                                       region, tol):
+        roots = secular_roots(A_HALF, alpha0, beta0, region, tol=tol)
+        f, _ = _make_secular(A_HALF, alpha0, beta0)
+        floor = _rounding_floor(A_HALF, alpha0, beta0)
+        assert roots and any(abs(f(k)) > tol for k in roots)
+        assert all(abs(f(k)) <= max(tol, floor(k)) for k in roots)
+        # the first root's own box winds once around it
+        k, h = roots[0], 1e-7
+        assert _winding_number(f, (k.real - h, k.real + h, k.imag - h, k.imag + h),
+                               2.0 * A_HALF) == 1
+
+    def test_floor_stays_below_the_default_tol(self):
+        # so default runs stop where the absolute gate stopped them
+        roots = secular_roots(A_HALF, 1.0, -0.05, self.DEFAULT)
+        floor = _rounding_floor(A_HALF, 1.0, -0.05)
+        assert len(roots) == 2 and max(floor(k) for k in roots) < 1e-14
+
+    def test_overflowing_bound_falls_back_to_tol(self):
+        floor = _rounding_floor(A_HALF, 1e200, 0.0)
+        assert floor(1.0 + 0j) == 0.0
+        with pytest.raises(RootCertificationError, match="stalled"):
+            _newton_refine(lambda k: 1.0, lambda k: 0.0, 1.0, 1, 1e-12, floor=floor)
 
 
 # ---------------------------------------------------------------------------
