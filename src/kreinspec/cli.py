@@ -18,6 +18,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from dataclasses import dataclass, replace
@@ -556,6 +557,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, help_text, rows) in COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
+        # a value such as -1e-3 is an argument, not an option: no flag looks
+        # like a number (Python 3.11 took only -D and -D.D for numbers)
+        p._negative_number_matcher = re.compile(r"-\.?\d")
         p.add_argument("--config", type=str, default=None,
                        help="JSON file whose entries override the flags")
         for key, (default, check) in {**_COMMON, **rows}.items():

@@ -8,12 +8,13 @@ pattern of the indefinite Gram matrix on the root subspace, read from one
 complex Schur form per matrix (a centro-Hermitian one's from a real Schur
 form, Lee 1980).  One vectorised pass per call measures the clusters'
 centres and distances; each cluster then costs a fixed sequence: a LAPACK
-ztrsen reorder, ztrsen's ``s`` and ``sep`` as its certificate (at
-most twelve Sylvester-map applications of one triangular solve (ztrtrs) per
-block row, not ztrsen's Sylvester solver), and the Gram matrix's
-eigenvalues.  A single root reads its 1-by-1 Gram eigenvalue as the real
-part, as zheevd does; a cluster of m > 1 roots pays one Gram eigvalsh and
-one SVD.  Riesz projections are the independent check.
+ztrsen reorder, ztrsen's ``s`` and ``sep`` as its certificate, and the
+Gram matrix's eigenvalues.  A single root of a matrix of order n >= 2
+takes s and sep from at most twelve applications of one triangular solve
+(ztrtrs) and reads its 1-by-1 Gram eigenvalue as the real part, as zheevd
+does; any other cluster takes them from ztrsen's own Sylvester solver and
+pays one Gram eigvalsh and one SVD.  Riesz projections are the independent
+check.
 
 Classification runs on the root subspace, not just the eigenspace, so a
 Jordan block at a real eigenvalue is reported as not definite even
@@ -177,7 +178,8 @@ class SpectrumEntry:
 
     ``s`` and ``sep`` are LAPACK ztrsen's condition estimates for the
     reordered Schur form (of the cluster's mean eigenvalue and of its
-    root subspace), computed by triangular solves, if measured.
+    root subspace), if measured: a single root's computed by triangular
+    solves, any other cluster's by ztrsen itself.
     """
 
     lam: complex
@@ -367,70 +369,37 @@ def _one_norm_estimate(apply, size: int) -> float:
     return max(est, 2.0 * (float(np.abs(v).sum()) / (3 * size)))
 
 
-def _condition(R, m: int) -> tuple[float, float]:
-    """ztrsen's ``s`` and ``sep`` for the leading m-by-m block of Schur R.
+def _condition(R) -> tuple[float, float]:
+    """ztrsen's ``s`` and ``sep`` for the leading single root of Schur R
+    (of order n >= 2).
 
-    With R = [[R11, R12], [0, R22]], X solves R11 X - X R22 = R12 one row
-    at a time, each a triangular solve (ztrtrs) with R11[i, i] I - R22,
-    whose diagonals are formed once per call and written only when the row
-    changes; s = 1/sqrt(1 + ||X||_F^2) and sep is one over zlacn2's estimate
-    of the one-norm of the inverse Sylvester map, applied the same way.
-    A single root (m = 1) has one row: its shift is written once and each
-    application is one solve, with no row loop or X buffer.  Where a solve
-    is not finite (ztrsyl would rescale) the estimate reads 0.
+    With R = [[r, R12], [0, R22]], x solves r x - x R22 = R12: one
+    triangular solve (ztrtrs) with r I - R22, whose diagonal is formed
+    once per call.  s = 1/sqrt(1 + ||x||^2) and sep is one over zlacn2's
+    estimate of the one-norm of the inverse map, applied the same way.
+    Where a solve is not finite (ztrsyl would rescale) the estimate reads 0.
     """
-    n = R.shape[0]
-    if m == n:
-        return 1.0, float(np.max(np.sum(np.abs(R), axis=0)))
-    R11, k = R[:m, :m], n - m
-    # row i's diagonal goes into a copy of R22; solves take negated equations
-    shifted = R[m:, m:].copy(order="F")
-    diagonal = shifted.ravel(order="F")[::k + 1]
+    # solves take negated equations
+    shifted = R[1:, 1:].copy(order="F")
+    shifted.ravel(order="F")[::shifted.shape[0] + 1] -= R[0, 0]
     ztrtrs = scipy.linalg.lapack.ztrtrs
 
-    if m == 1:
-        diagonal -= R[0, 0]
-
-        def apply(c, adjoint):
-            """The row-loop ``apply`` below for one row, where vec(X) = X."""
-            x, info = ztrtrs(shifted, c.conj() if adjoint else c,
-                             trans=0 if adjoint else 1)
-            if info or not np.isfinite(x).all():
-                raise OverflowError
-            return np.negative(x.conj() if adjoint else x)
-    else:
-        shifts = diagonal - R11.diagonal()[:, None]
-        held = -1  # the row whose shifts ``diagonal`` holds
-
-        def apply(c, adjoint):
-            """vec(X) with R11 X - X R22 = C, or the adjoint map's solution,
-            for C = ``c`` as an m-by-(n - m) matrix, both column-major."""
-            nonlocal held
-            X = np.empty((m, k), dtype=complex, order="F")
-            for i in (range(m) if adjoint else range(m - 1, -1, -1)):
-                if i != held:
-                    diagonal[:], held = shifts[i], i
-                rhs = c[i::m]  # row i of C
-                if adjoint and i:
-                    rhs = rhs - R11[:i, i].conj() @ X[:i]
-                elif not adjoint and i < m - 1:
-                    rhs = rhs - R11[i, i + 1:] @ X[i + 1:]
-                x, info = ztrtrs(shifted, rhs.conj() if adjoint else rhs,
-                                 trans=0 if adjoint else 1)
-                if info or not np.isfinite(x).all():
-                    raise OverflowError
-                np.negative(x.conj() if adjoint else x, out=X[i])
-            return X.ravel(order="F")
+    def apply(c, adjoint):
+        """x with r x - x R22 = c, or the adjoint map's solution."""
+        x, info = ztrtrs(shifted, c.conj() if adjoint else c,
+                         trans=0 if adjoint else 1)
+        if info or not np.isfinite(x).all():
+            raise OverflowError
+        return np.negative(x.conj() if adjoint else x)
 
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            X = apply(R[:m, m:].ravel(order="F"), False).reshape(m, k, order="F")
-            rnorm = float(scipy.linalg.blas.dznrm2(X.ravel()))
+            rnorm = float(scipy.linalg.blas.dznrm2(apply(R[0, 1:], False)))
         except OverflowError:
             rnorm = math.inf
         s = 1.0 if rnorm == 0.0 else 1.0 / (math.sqrt(1.0 / rnorm + rnorm)
                                              * math.sqrt(rnorm))
-        sep = 1.0 / _one_norm_estimate(apply, m * k)
+        sep = 1.0 / _one_norm_estimate(apply, shifted.shape[0])
     return s, sep
 
 
@@ -463,11 +432,16 @@ def _root_entry(R, Z, Jm, idx, center, d_in, d_out, scale, tol):
         raise NumericalError(
             f"Schur form holds {np.count_nonzero(select)} eigenvalues of the "
             f"{m}-fold cluster at {center:.6g}")
-    R, Z, _, _, _, _, info = scipy.linalg.lapack.ztrsen(select, R, Z, job="N")
+    # a single root's s and sep come from ``_condition``, any other cluster's
+    # from ztrsen's Sylvester solver, whose workspace is 2 m (n - m)
+    single = m == 1 < n
+    R, Z, _, _, s, sep, info = scipy.linalg.lapack.ztrsen(
+        select, R, Z, job="N" if single else "B", lwork=max(1, 2 * m * (n - m)))
     if info:
         raise NumericalError(f"Schur reordering failed for the cluster at "
                              f"{center:.6g} (info {info})")
-    s, sep = _condition(R, m)
+    if single:
+        s, sep = _condition(R)
     # 1/s is the norm of the spectral projector, 1/sep how far the root
     # subspace turns per unit perturbation of T: at the contour path's
     # idempotency tolerance the subspace is not determined (a Jordan pair

@@ -271,6 +271,22 @@ def _require_bounded_secular(a: float, alpha0: float, beta0: float, ks) -> None:
                               f", (|k|^2 + alpha0^2 + beta0^2 + 2|beta0 k|) cosh(2a Im k), overflows")
 
 
+def _require_bounded_search(a: float, alpha0: float, beta0: float, ks) -> None:
+    """``_require_bounded_secular``, and ValidationError unless |F'(k)| <= (2|k| +
+    2a (|k|^2 + c0) + 2|beta0| + 4a |beta0 k|) cosh(2a Im k), c0 = alpha0^2 +
+    beta0^2, is finite at every k of ``ks``: where a root search starts."""
+    _require_bounded_secular(a, alpha0, beta0, ks)
+    c0, b = alpha0 * alpha0 + beta0 * beta0, abs(beta0)
+    for k in ks:
+        with suppress(OverflowError):
+            r = abs(k)
+            if ((2.0 * r + 2.0 * a * (r * r + c0) + 2.0 * b + 4.0 * a * b * r)
+                    * math.cosh(2.0 * a * k.imag) <= sys.float_info.max):
+                continue
+        raise ValidationError(f"F' may overflow at k = {k:.6g}: its bound (2|k| + 2a (|k|^2 + "
+                              f"alpha0^2 + beta0^2) + 2|beta0| + 4a|beta0 k|) cosh(2a Im k) overflows")
+
+
 def _finite(fn):
     """fn, raising RootCertificationError where its value is not finite."""
     def checked(k):
@@ -494,7 +510,8 @@ def secular_roots(a: float, alpha0: float, beta0: float,
     the multiplicity polishes each root to |F| <= tol, or to F's rounding
     bound where that is larger (``_rounding_floor``).  The rectangle must
     exclude k = 0, a trivial zero of F (the k <-> -k symmetry artifact), and keep
-    the bound on |F| of _require_bounded_secular finite once grown by the retries.
+    the bounds on |F| and |F'| of _require_bounded_search finite once grown by
+    the retries.
     """
     _require_positive(a=a, tol=tol)
     re0, re1, im0, im1 = rect = tuple(float(x) for x in region)
@@ -505,7 +522,7 @@ def secular_roots(a: float, alpha0: float, beta0: float,
         raise ValidationError(
             "region must exclude k = 0 (trivial zero of the secular function)")
     g = _grown(rect, _GROWTH[-1])
-    _require_bounded_secular(a, alpha0, beta0, [complex(x, y) for x in g[:2] for y in g[2:]])
+    _require_bounded_search(a, alpha0, beta0, [complex(x, y) for x in g[:2] for y in g[2:]])
 
     f, fp = _make_secular(a, alpha0, beta0)
     phase_rate = 2.0 * a
@@ -556,7 +573,7 @@ def branch_curves(a: float, alpha0: float, beta0_samples: Sequence[float],
         raise ValidationError("need at least one seed root")
     _require_finite(alpha0=alpha0, beta0_samples=samples, seeds=seeds)
     _require_positive(a=a, tol=tol)
-    _require_bounded_secular(a, alpha0, max(samples, key=abs), seeds)
+    _require_bounded_search(a, alpha0, max(samples, key=abs), seeds)
 
     def collide(ks):
         return any(abs(x - y) <= _COLLISION_RADIUS

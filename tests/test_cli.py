@@ -403,6 +403,21 @@ class TestExitCodes:
                         "-2.0"], tmp_path)[0] == 2
         assert run_cli(["branches", "--seed-region", "1,2,3"], tmp_path)[0] == 2
 
+    @pytest.mark.parametrize("args", [
+        ["secular", "--beta0", "-1e-3"],
+        ["branches", "--seed-region", "-1.3,-0.7,-0.4,0.4"],
+    ])
+    def test_negative_exponent_value_parses_as_its_equals_form(self, tmp_path, args):
+        # argparse once read "-1e-3" and "-1.3,..." as options, not values
+        spaced, joined = (run_cli(a, tmp_path, sub)
+                          for a, sub in ((args, "spaced"),
+                                         (args[:1] + ["=".join(args[1:])], "joined")))
+        assert spaced[0] == joined[0] == 0
+        files = sorted(p.name for p in spaced[1].iterdir())
+        assert files and files == sorted(p.name for p in joined[1].iterdir())
+        for name in files:
+            assert (spaced[1] / name).read_bytes() == (joined[1] / name).read_bytes()
+
     @pytest.mark.parametrize("command, doc", [
         ("tensor-check", {"tolerances": {"gram": "abc"}}),
         ("transversal", {"modes": "ten"}),
@@ -487,6 +502,8 @@ class TestExitCodes:
         (["secular", "--re-min", "1e300", "--re-max", "1e301"], 2),
         (["secular", "--alpha0", "1e154"], 2),
         (["secular", "--alpha0", "1e200"], 2),
+        # the bound on |F| holds on the grown region, the bound on |F'| does not
+        (["secular", "--alpha0", "1e154", "--im-min", "-0.01", "--im-max", "0.01"], 2),
         (["secular", "--a", "0.5", "--alpha0", "0.5", "--beta0", "0.1",
           "--re-min", "1.0", "--re-max", "1.2", "--im-min", "690",
           "--im-max", "700"], 2),

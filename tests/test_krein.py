@@ -1286,8 +1286,9 @@ def ztrsen_b(select, R, Z):
 
 
 class TestConditionAgainstZtrsen:
-    """``_condition`` computes ztrsen's s and sep with triangular solves;
-    LAPACK's ztrsen(job="B"), which gets them from ztrsyl, is the reference."""
+    """``_condition`` computes a single root's s and sep with triangular
+    solves; LAPACK's ztrsen(job="B"), which gets them from ztrsyl, is the
+    reference, and gives every other cluster's."""
 
     @staticmethod
     def close(a, b):
@@ -1309,8 +1310,16 @@ class TestConditionAgainstZtrsen:
             Rn, Zn, _, _, _, _, info = ZTRSEN(select, R0, Z0, job="N")
             assert info == 0
             assert np.array_equal(R, Rn) and np.array_equal(Z, Zn)
-            got_s, got_sep = krein._condition(Rn, int(select.sum()))
-            assert self.close(got_s, s) and self.close(got_sep, sep)
+            m = int(select.sum())
+            if m == 1:
+                got_s, got_sep = krein._condition(Rn)
+                assert self.close(got_s, s) and self.close(got_sep, sep)
+            else:
+                # the engine's call, at job B's least workspace, is the
+                # reference's bit for bit
+                got = ZTRSEN(select, R0, Z0, job="B", lwork=max(1, 2 * m * (n - m)))
+                assert got[6] == 0 and got[4:6] == (s, sep)
+                assert np.array_equal(got[0], R) and np.array_equal(got[1], Z)
 
     @pytest.mark.parametrize("case", ["campaign", "robin"])
     def test_engine_matches_job_b(self, monkeypatch, case):
@@ -1322,17 +1331,19 @@ class TestConditionAgainstZtrsen:
             T, J = robin_fd(A_STRIP, 0.7j, 121)
         got = classify_spectrum(T, J)
 
-        # the reference reorders with job B and reports its s and sep
+        # the reference reorders single roots with job B too and reports
+        # its s and sep
         measured = []
 
-        def reorder_b(select, R, Z, job):
-            assert job == "N"
+        def reorder_b(select, R, Z, job, lwork):
+            if job == "B":
+                return ZTRSEN(select, R, Z, job=job, lwork=lwork)
             R, Z, s, sep = ztrsen_b(select, R, Z)
             measured.append((s, sep))
             return R, Z, None, None, None, None, 0
 
         monkeypatch.setattr(scipy.linalg.lapack, "ztrsen", reorder_b)
-        monkeypatch.setattr(krein, "_condition", lambda R, m: measured[-1])
+        monkeypatch.setattr(krein, "_condition", lambda R: measured[-1])
         want = classify_spectrum(T, J)
         assert len(got) == len(want) == len(measured)
         for a, b in zip(got, want):
@@ -1348,10 +1359,61 @@ class TestConditionAgainstZtrsen:
         n = 50
         T = np.diag(np.ones(n - 1), 1).astype(complex)
         T[0, 0] = 1e-7
-        assert krein._condition(T, 1) == (0.0, 0.0)
+        assert krein._condition(T) == (0.0, 0.0)
         assert ztrsen_b(np.eye(1, n, 0, dtype=bool)[0], T, np.eye(n))[2:] == (0.0, 0.0)
         with pytest.raises(NumericalError, match="ill-conditioned"):
             classify_point(T, np.eye(n), 1e-7, eigvals=np.diag(T))
+
+
+class TestConditionRoute:
+    """Which kernel measures a cluster's s and sep, seen through spies on
+    ztrsen's ``job`` and on ``_condition``: a single root of a matrix of
+    order n >= 2 takes job N and one ``_condition`` call, any other
+    cluster job B and none."""
+
+    @staticmethod
+    def spied(monkeypatch, T, J, **kw):
+        jobs, conditions = [], []
+        condition = krein._condition
+
+        def ztrsen(select, R, Z, job, lwork):
+            jobs.append(job)
+            return ZTRSEN(select, R, Z, job=job, lwork=lwork)
+
+        def spy_condition(R):
+            conditions.append(R.shape)
+            return condition(R)
+
+        monkeypatch.setattr(krein, "_factors", None)
+        monkeypatch.setattr(scipy.linalg.lapack, "ztrsen", ztrsen)
+        monkeypatch.setattr(krein, "_condition", spy_condition)
+        failures = []
+        roots = _classified_roots(T, J, failures=failures, **kw)
+        monkeypatch.undo()
+        assert not failures
+        return [entry.alg_mult for entry, _ in roots], jobs, len(conditions)
+
+    def test_robin_matrix_takes_single_root_kernel(self, monkeypatch):
+        T, J = robin_fd(A_STRIP, 0.7j, 121)
+        mults, jobs, conditions = self.spied(monkeypatch, T, J)
+        assert mults == [1] * 121 and jobs == ["N"] * 121 and conditions == 121
+
+    def test_campaign_sum_takes_single_root_kernel(self, monkeypatch):
+        S, J = kron_sum(*_campaign_instance(np.random.default_rng(4), "big"))
+        mults, jobs, conditions = self.spied(
+            monkeypatch, S, J, cluster_gap=1e-6 * _norm2(S))
+        assert mults == [1] * 144 and jobs == ["N"] * 144 and conditions == 144
+
+    def test_jordan_pair_takes_job_b(self, monkeypatch):
+        f1, _ = _campaign_instance(np.random.default_rng(11), "jordan")
+        mults, jobs, conditions = self.spied(monkeypatch, f1.t, f1.j)
+        assert sorted(mults) == [1, 1, 2]
+        assert sorted(jobs) == ["B", "N", "N"] and conditions == 2
+
+    def test_one_by_one_matrix_takes_job_b(self, monkeypatch):
+        mults, jobs, conditions = self.spied(
+            monkeypatch, np.array([[2.0 + 0j]]), np.eye(1))
+        assert mults == [1] and jobs == ["B"] and conditions == 0
 
 
 def campaign_roots(seed, draws=30):
@@ -1493,10 +1555,14 @@ def reference_root_entry(R, Z, Jm, eigvals, idx, scale, tol):
     select = np.abs(np.diag(R) - center) < 0.5 * (d_in + d_out)
     if np.count_nonzero(select) != m:
         raise NumericalError("Schur form holds another count")
-    R, Z, _, _, _, _, info = scipy.linalg.lapack.ztrsen(select, R, Z, job="N")
+    if m == 1 < n:
+        R, Z, _, _, _, _, info = scipy.linalg.lapack.ztrsen(select, R, Z, job="N")
+        s, sep = reference_condition(R, m)
+    else:  # LAPACK's own s and sep
+        R, Z, _, _, s, sep, info = scipy.linalg.lapack.ztrsen(
+            select, R, Z, job="B", lwork=max(1, n * n))
     if info:
         raise NumericalError("Schur reordering failed")
-    s, sep = reference_condition(R, m)
     if m < n and s * sep <= 1e-8 * max(1.0, scale):
         raise NumericalError("root subspace is ill-conditioned")
     B = Z[:, :m].copy()
@@ -1543,7 +1609,8 @@ def outcome(fn, *args):
 
 class TestKernelAgainstReference:
     """``_condition``, ``_one_norm_estimate`` and ``_root_entry`` against
-    the reference kernel above: every number bitwise the same."""
+    the reference kernel above, which takes every cluster but a single
+    root's s and sep from ztrsen(job="B"): every number bitwise the same."""
 
     @staticmethod
     def clustered_schur(rng, n, m):
@@ -1571,9 +1638,8 @@ class TestKernelAgainstReference:
         Jm = np.diag(rng.choice([-1.0, 1.0], size=n)).astype(complex)
         for m in sorted({1, 2, 3, n} & set(range(1, n + 1))):
             T, R, Z = self.clustered_schur(rng, n, m)
-            for k in (m, n - m):
-                if 0 < k <= n:
-                    assert krein._condition(R, k) == reference_condition(R, k)
+            if n > 1:
+                assert krein._condition(R) == reference_condition(R, 1)
             eigvals = np.diag(R)
             idx = np.flatnonzero(np.abs(eigvals - 0.3 - 0.2j) < 0.05)
             assert idx.size == m
@@ -1589,7 +1655,7 @@ class TestKernelAgainstReference:
         n = 50
         T = np.diag(np.ones(n - 1), 1).astype(complex)
         T[0, 0] = 1e-7
-        assert krein._condition(T, 1) == reference_condition(T, 1) == (0.0, 0.0)
+        assert krein._condition(T) == reference_condition(T, 1) == (0.0, 0.0)
         args = (T, np.eye(n), np.eye(n, dtype=complex), np.diag(T),
                 np.array([0]), _norm2(T), 1e-8)
         assert outcome(kernel_root_entry, *args) is NumericalError
@@ -1721,7 +1787,7 @@ class TestRootEntryCutoffs:
         # ``margin`` times the cutoff 1e-8 max(1, ||R||)
         d = math.sqrt(margin * 1e-8)
         R = np.array([[0.0, 1.0], [0.0, d]])
-        s, sep = krein._condition(R.astype(complex), 1)
+        s, sep = krein._condition(R.astype(complex))
         ratio = s * sep / (1e-8 * max(1.0, _norm2(R)))
         assert 0.9 * margin < ratio < 1.1 * margin
         got = self.run(R, np.eye(2), [0])

@@ -508,9 +508,25 @@ class TestSecular:
             branch_curves(A_HALF, 1e200, [-0.1, -0.05], [1.0 + 0.1j])
         with pytest.raises(ValidationError, match="sin"):
             branch_curves(A_HALF, 1.0, [-0.1, -0.05], [1.0 + 300j])
-        # the bound on |F| holds at 1e154, F' overflows: Newton is uncertified
-        with pytest.raises(RootCertificationError, match="overflows"):
+        # the bound on |F| holds at 1e154, the bound on |F'| does not
+        with pytest.raises(ValidationError, match="F' may overflow"):
             branch_curves(A_HALF, 1e154, [-0.1, -0.05], [1.0 + 0.1j])
+
+    def test_region_whose_derivative_may_overflow_is_refused(self):
+        # |F| <= 1.0006e308 on the grown region, but |F'| may reach pi 1e308
+        with pytest.raises(ValidationError, match="F' may overflow"):
+            secular_roots(A_HALF, 1e154, -0.05, (0.7, 1.3, -0.01, 0.01))
+
+    def test_derivative_bound_holds(self):
+        # the a-priori bound on |F'| the root search checks is above |F'|
+        rng = np.random.default_rng(5)
+        for _ in range(500):
+            a, alpha0, beta0 = rng.uniform(0.05, 3.0), *rng.uniform(-3.0, 3.0, 2)
+            k = complex(*rng.uniform(-30.0, 30.0, 2))
+            r, c0 = abs(k), alpha0 * alpha0 + beta0 * beta0
+            bound = ((2 * r + 2 * a * (r * r + c0) + 2 * abs(beta0)
+                      + 4 * a * abs(beta0) * r) * math.cosh(2 * a * k.imag))
+            assert abs(_make_secular(a, alpha0, beta0)[1](k)) <= bound * (1 + 1e-12)
 
     def test_overflow_in_newton_or_a_contour_is_uncertified(self):
         # Newton from k = 300j, and a contour at Im k = 400, meet
